@@ -21,13 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .datatypes import (
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    Literal,
-)
+from .datatypes import Literal
 from .errors import AmbiguousTargetError, OgError, ParseError
 from .formats import (
     parse_lpg_jsonl,
@@ -40,7 +34,7 @@ from .formats import (
     serialize_ognq,
     serialize_turtle_star,
 )
-from .formats.common import render_term
+from .formats.common import bare_literal, render_term
 from .merge import MergeRules, load_rules, merge
 from .statements import Term, is_ground
 from .store import DeletePolicy, Store
@@ -73,9 +67,6 @@ _PARSERS = {
     "lpgjsonl": parse_lpg_jsonl,
 }
 
-_BARE_INTEGER = re.compile(r"^[+-]?\d+$")
-_BARE_DECIMAL = re.compile(r"^[+-]?\d*\.\d+$")
-_BARE_DOUBLE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+$")
 _PNAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(.*)$")
 
 
@@ -86,14 +77,9 @@ def parse_cli_term(token: str, prefixes: dict[str, str]) -> Term:
         raise ParseError("empty term")
     if token[0] in '<"_' or token.startswith('local:"'):
         return parse_term_text(token)
-    if token in ("true", "false"):
-        return Literal(token, XSD_BOOLEAN)
-    if _BARE_INTEGER.match(token):
-        return Literal(token, XSD_INTEGER)
-    if _BARE_DECIMAL.match(token):
-        return Literal(token, XSD_DECIMAL)
-    if _BARE_DOUBLE.match(token):
-        return Literal(token, XSD_DOUBLE)
+    bare = bare_literal(token)
+    if bare is not None:
+        return bare
     try:
         if token.startswith(":"):
             return LocalId(token[1:])

@@ -1,18 +1,29 @@
-"""Shared term lexing and rendering for the line-based formats.
+"""Shared term lexing and rendering for the text formats.
 
 Both line formats use the same term tokens: ``<iri>``, ``_:label``, quoted
 literals with ``@lang`` or ``^^<datatype>`` suffixes, plus two extensions
 gated by flags: ``local:"text"`` for local identifiers and ``urn:og:sid:``
-IRIs read back as sid references.
+IRIs read back as sid references. Turtle-star reads its IRIs and strings
+with the same scanners, and shares the bare-literal rule and the renaming
+of blank labels apart from a store's.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..datatypes import RDF_LANG_STRING, XSD_STRING, Literal
+from ..datatypes import (
+    RDF_LANG_STRING,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+    Literal,
+)
 from ..errors import ParseError
-from ..statements import Term
+from ..statements import Statement, Term, blank_labels, rename_apart
+from ..store import Store
 from ..terms import (
     SID_IRI_PREFIX,
     BlankNode,
@@ -27,6 +38,22 @@ _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
 _LANG = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 _LOCAL_MARK = 'local:"'
+
+#: Turtle's INTEGER, DECIMAL, DOUBLE and boolean shorthand, one group each.
+BARE_LITERAL = re.compile(
+    r"(?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)[eE][+-]?[0-9]+)"
+    r"|(?P<decimal>[+-]?[0-9]*\.[0-9]+)"
+    r"|(?P<integer>[+-]?[0-9]+)"
+    r"|(?P<boolean>true|false)"
+)
+_BARE_DATATYPE = {"double": XSD_DOUBLE, "decimal": XSD_DECIMAL,
+                  "integer": XSD_INTEGER, "boolean": XSD_BOOLEAN}
+
+
+def bare_literal(token: str) -> Literal | None:
+    """The literal a bare Turtle token denotes, or None if it is not one."""
+    m = BARE_LITERAL.fullmatch(token)
+    return Literal(token, _BARE_DATATYPE[m.lastgroup]) if m else None
 
 
 class Cursor:
@@ -70,52 +97,54 @@ def _scan_uchar(cur: Cursor) -> str:
     return chr(int(hexpart, 16))
 
 
+_IRI_RUN = re.compile(r'[^\x00-\x20"{}|^`\\>]*')
+_STRING_RUN = re.compile(r'[^"\\]*')
+
+
 def scan_iri_text(cur: Cursor) -> str:
     cur.expect("<")
+    text = cur.text
     out = []
     while True:
-        if cur.at_end():
+        end = _IRI_RUN.match(text, cur.pos).end()
+        out.append(text[cur.pos:end])
+        cur.pos = end
+        if end == len(text):
             cur.fail("unterminated IRI")
-        c = cur.text[cur.pos]
+        c = text[end]
         if c == ">":
             cur.pos += 1
             return "".join(out)
-        if c == "\\":
-            cur.pos += 1
-            if cur.peek() in ("u", "U"):
-                out.append(_scan_uchar(cur))
-            else:
-                cur.fail("only \\u and \\U escapes are allowed in IRIs")
-        elif c <= " " or c in '"{}|^`':
+        if c != "\\":
             cur.fail(f"character {c!r} must be escaped inside an IRI")
-        else:
-            out.append(c)
-            cur.pos += 1
+        cur.pos += 1
+        if cur.peek() not in ("u", "U"):
+            cur.fail("only \\u and \\U escapes are allowed in IRIs")
+        out.append(_scan_uchar(cur))
 
 
 def scan_string_body(cur: Cursor) -> str:
     cur.expect('"')
+    text = cur.text
     out = []
     while True:
-        if cur.at_end():
+        end = _STRING_RUN.match(text, cur.pos).end()
+        out.append(text[cur.pos:end])
+        cur.pos = end
+        if end == len(text):
             cur.fail("unterminated string")
-        c = cur.text[cur.pos]
-        if c == '"':
+        if text[end] == '"':
             cur.pos += 1
             return "".join(out)
-        if c == "\\":
+        cur.pos += 1
+        e = cur.peek()
+        if e in ("u", "U"):
+            out.append(_scan_uchar(cur))
+        elif e in _ECHAR:
+            out.append(_ECHAR[e])
             cur.pos += 1
-            e = cur.peek()
-            if e in ("u", "U"):
-                out.append(_scan_uchar(cur))
-            elif e in _ECHAR:
-                out.append(_ECHAR[e])
-                cur.pos += 1
-            else:
-                cur.fail(f"unknown escape \\{e}")
         else:
-            out.append(c)
-            cur.pos += 1
+            cur.fail(f"unknown escape \\{e}")
 
 
 def scan_blank(cur: Cursor) -> BlankNode:
@@ -200,34 +229,21 @@ def end_of_statement(cur: Cursor) -> None:
 # --- rendering -----------------------------------------------------------
 
 
+_ESCAPE = {_ECHAR[e]: "\\" + e for e in 'tnr"\\'}
+_STRING_UNSAFE = re.compile(r'[\x00-\x1f"\\\x7f]')
+_IRI_UNSAFE = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f]')
+
+
+def _uchar(m: re.Match) -> str:
+    return f"\\u{ord(m.group()):04X}"
+
+
 def escape_string(s: str) -> str:
-    out = []
-    for c in s:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif c < " " or c == "\x7f":
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _STRING_UNSAFE.sub(lambda m: _ESCAPE.get(m.group()) or _uchar(m), s)
 
 
 def escape_iri(s: str) -> str:
-    out = []
-    for c in s:
-        if c <= " " or c in '<>"{}|^`\\' or c == "\x7f":
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _IRI_UNSAFE.sub(_uchar, s)
 
 
 def render_term(t: Term, *, allow_local: bool = False, sid_refs: bool = False) -> str:
@@ -254,6 +270,26 @@ def render_term(t: Term, *, allow_local: bool = False, sid_refs: bool = False) -
             return body
         return f"{body}^^<{escape_iri(t.datatype.text)}>"
     raise ValueError(f"not a term: {t!r}")
+
+
+def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
+    """Renames keeping a document's blank labels apart from the store's."""
+    existing = blank_labels(store.statements())
+    return rename_apart(labels & existing, labels | existing)
+
+
+def keep_blanks_apart(statements: list[Statement], store: Store) -> list[Statement]:
+    """The statements, with blank labels the store already uses renamed."""
+    renames = store_renames(store, blank_labels(statements))
+    if not renames:
+        return statements
+
+    def mapped(t: Term) -> Term:
+        if isinstance(t, BlankNode) and t.label in renames:
+            return BlankNode(renames[t.label])
+        return t
+
+    return [Statement(mapped(st.src), st.label, mapped(st.value), st.sid) for st in statements]
 
 
 def split_lines(text: str) -> list[tuple[int, str]]:

@@ -12,7 +12,14 @@ from ..statements import Statement, Term
 from ..store import Store
 from ..terms import BlankNode, Iri
 from ..views import RdfGraph
-from .common import Cursor, end_of_statement, render_term, scan_term, split_lines
+from .common import (
+    Cursor,
+    end_of_statement,
+    keep_blanks_apart,
+    render_term,
+    scan_term,
+    split_lines,
+)
 
 
 def parse_ntriples(text: str, store: Store | None = None) -> Store:
@@ -36,30 +43,8 @@ def parse_ntriples(text: str, store: Store | None = None) -> Store:
         end_of_statement(cur)
         triples.append((s, p, o))
 
-    existing = {
-        t.label
-        for st in store.statements()
-        for t in (st.src, st.value)
-        if isinstance(t, BlankNode)
-    }
-    doc_labels = {t.label for tr in triples for t in (tr[0], tr[2]) if isinstance(t, BlankNode)}
-    mapping: dict[str, str] = {}
-    taken = existing | doc_labels
-    for label in sorted(doc_labels & existing):
-        k = 1
-        while f"{label}_{k}" in taken:
-            k += 1
-        mapping[label] = f"{label}_{k}"
-        taken.add(mapping[label])
-
-    def mapped(t: Term) -> Term:
-        if isinstance(t, BlankNode) and t.label in mapping:
-            return BlankNode(mapping[t.label])
-        return t
-
-    store.add_statements(
-        Statement(mapped(s), p, mapped(o), store.fresh_sid()) for s, p, o in triples
-    )
+    statements = [Statement(s, p, o, store.fresh_sid()) for s, p, o in triples]
+    store.add_statements(keep_blanks_apart(statements, store))
     return store
 
 

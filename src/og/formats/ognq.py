@@ -14,52 +14,15 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..statements import Statement, Term
 from ..store import Store
-from ..terms import BlankNode, Sid, SidRef, sid_iri
+from ..terms import Sid, SidRef, sid_iri
 from .common import (
     Cursor,
     end_of_statement,
+    keep_blanks_apart,
     render_term,
     scan_term,
     split_lines,
 )
-
-
-def _remap_blanks(parsed: list[tuple[int, Statement]], store: Store) -> list[Statement]:
-    """Keep document blank labels apart from labels already in the store."""
-    existing = {
-        t.label
-        for st in store.statements()
-        for t in (st.src, st.value)
-        if isinstance(t, BlankNode)
-    }
-    if not existing:
-        return [st for _, st in parsed]
-    doc_labels = {
-        t.label
-        for _, st in parsed
-        for t in (st.src, st.value)
-        if isinstance(t, BlankNode)
-    }
-    mapping: dict[str, str] = {}
-    taken = existing | doc_labels
-    for label in sorted(doc_labels & existing):
-        k = 1
-        while f"{label}_{k}" in taken:
-            k += 1
-        mapping[label] = f"{label}_{k}"
-        taken.add(mapping[label])
-    if not mapping:
-        return [st for _, st in parsed]
-
-    def mapped(t: Term) -> Term:
-        if isinstance(t, BlankNode) and t.label in mapping:
-            return BlankNode(mapping[t.label])
-        return t
-
-    return [
-        Statement(mapped(st.src), st.label, mapped(st.value), st.sid)
-        for _, st in parsed
-    ]
 
 
 def parse_ognq(text: str, store: Store | None = None) -> Store:
@@ -70,7 +33,7 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     ParseError; unresolvable sid references raise DanglingSidError.
     """
     store = store if store is not None else Store()
-    parsed: list[tuple[int, Statement]] = []
+    parsed: list[Statement] = []
     seen: set[Sid] = set()
     for lineno, line in split_lines(text):
         cur = Cursor(line, lineno)
@@ -90,10 +53,10 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
             raise ParseError(f"duplicate sid {sid}", line=lineno)
         seen.add(sid)
         try:
-            parsed.append((lineno, Statement(src, label, value, sid)))
+            parsed.append(Statement(src, label, value, sid))
         except Exception as e:
             raise ParseError(str(e), line=lineno) from None
-    store.add_statements(_remap_blanks(parsed, store))
+    store.add_statements(keep_blanks_apart(parsed, store))
     return store
 
 

@@ -16,36 +16,31 @@ from __future__ import annotations
 
 import re
 
-from ..datatypes import (
-    RDF_LANG_STRING,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    XSD_STRING,
-    Literal,
-)
+from ..datatypes import RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
-from ..statements import Term
+from ..statements import Statement, Term
 from ..store import Store
 from ..terms import BlankNode, Iri, LocalId, SidRef
 from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph
-from .common import escape_iri, escape_string
+from .common import (
+    BARE_LITERAL,
+    Cursor,
+    bare_literal,
+    escape_iri,
+    escape_string,
+    scan_iri_text,
+    scan_string_body,
+    store_renames,
+)
 
 _PNAME = re.compile(
     r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:"
     r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?)?"
 )
-_NUMBER = re.compile(r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)")
 _BLANK = re.compile(r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?")
 _LANGTAG = re.compile(r"@[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 _WORD = re.compile(r"[A-Za-z]+")
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-          '"': '"', "'": "'", "\\": "\\"}
-
-_BARE_INTEGER = re.compile(r"^[+-]?\d+$")
-_BARE_DECIMAL = re.compile(r"^[+-]?\d*\.\d+$")
-_BARE_DOUBLE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+$")
+_SPACE = re.compile(r"[ \t\r]*")
 _PN_LOCAL_OK = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?)?$")
 
 
@@ -60,175 +55,84 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of the document; no token spans a line."""
     tokens: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    n = len(text)
-
-    def here() -> tuple[int, int]:
-        return line, pos - line_start + 1
-
-    def fail(msg: str):
-        l, c = here()
-        raise ParseError(msg, line=l, column=c)
-
-    while pos < n:
-        c = text[pos]
-        if c == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if c in " \t\r":
-            pos += 1
-            continue
-        if c == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        l, col = here()
-        if text.startswith("<<", pos):
-            tokens.append(_Token("<<", None, l, col))
-            pos += 2
-            continue
-        if text.startswith(">>", pos):
-            tokens.append(_Token(">>", None, l, col))
-            pos += 2
-            continue
-        if c == "<":
-            end = pos + 1
-            out = []
-            while True:
-                if end >= n or text[end] == "\n":
-                    raise ParseError("unterminated IRI", line=l, column=col)
-                ch = text[end]
-                if ch == ">":
-                    end += 1
-                    break
-                if ch == "\\":
-                    kind = text[end + 1:end + 2]
-                    if kind not in ("u", "U"):
-                        raise ParseError("only \\u and \\U escapes are allowed in IRIs", line=l, column=col)
-                    width = 4 if kind == "u" else 8
-                    hexpart = text[end + 2:end + 2 + width]
-                    if len(hexpart) != width or any(x not in "0123456789abcdefABCDEF" for x in hexpart):
-                        raise ParseError(f"bad \\{kind} escape", line=l, column=col)
-                    out.append(chr(int(hexpart, 16)))
-                    end += 2 + width
-                elif ch <= " " or ch in '"{}|^`':
-                    raise ParseError(f"character {ch!r} must be escaped inside an IRI", line=l, column=col)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        cur = Cursor(line, lineno)
+        while True:
+            pos = cur.pos = _SPACE.match(line, cur.pos).end()
+            if pos == len(line) or line[pos] == "#":
+                break
+            c = line[pos]
+            value = None
+            if line.startswith("<<", pos) or line.startswith(">>", pos):
+                kind, end = line[pos:pos + 2], pos + 2
+            elif c == "<":
+                kind, value = "iri", scan_iri_text(cur)
+                end = cur.pos
+            elif c == '"':
+                kind, value = "string", scan_string_body(cur)
+                end = cur.pos
+            elif c == "@":
+                if line.startswith("@prefix", pos):
+                    kind, end = "@prefix", pos + len("@prefix")
+                elif line.startswith("@base", pos):
+                    cur.fail("base declarations are not supported; use absolute IRIs")
+                elif m := _LANGTAG.match(line, pos):
+                    kind, value, end = "lang", m.group(0)[1:], m.end()
                 else:
-                    out.append(ch)
-                    end += 1
-            tokens.append(_Token("iri", "".join(out), l, col))
-            pos = end
-            continue
-        if c == '"':
-            end = pos + 1
-            out = []
-            while True:
-                if end >= n or text[end] == "\n":
-                    raise ParseError("unterminated string", line=l, column=col)
-                ch = text[end]
-                if ch == '"':
-                    end += 1
-                    break
-                if ch == "\\":
-                    e = text[end + 1:end + 2]
-                    if e in ("u", "U"):
-                        width = 4 if e == "u" else 8
-                        hexpart = text[end + 2:end + 2 + width]
-                        if len(hexpart) != width or any(x not in "0123456789abcdefABCDEF" for x in hexpart):
-                            raise ParseError(f"bad \\{e} escape", line=l, column=col)
-                        out.append(chr(int(hexpart, 16)))
-                        end += 2 + width
-                    elif e in _ECHAR:
-                        out.append(_ECHAR[e])
-                        end += 2
-                    else:
-                        raise ParseError(f"unknown escape \\{e}", line=l, column=col)
+                    cur.fail("bad language tag or directive")
+            elif line.startswith("^^", pos):
+                kind, end = "^^", pos + 2
+            elif line.startswith("_:", pos):
+                m = _BLANK.match(line, pos)
+                if not m:
+                    cur.fail("bad blank node label")
+                kind, value, end = "blank", m.group(0)[2:], m.end()
+            elif c in "+-.0123456789" and (m := BARE_LITERAL.match(line, pos)):
+                kind, value, end = "number", m.group(0), m.end()
+            elif c in "+-" and line.startswith(".", pos + 1):
+                cur.fail("bad number")
+            elif c in ".;,":
+                kind, end = c, pos + 1
+            elif m := _PNAME.match(line, pos):
+                kind, value, end = "pname", tuple(m.group(0).split(":", 1)), m.end()
+            elif m := _WORD.match(line, pos):
+                word, end = m.group(0), m.end()
+                if word == "a":
+                    kind = "a"
+                elif word in ("true", "false"):
+                    kind, value = "boolean", word
+                elif word.upper() == "PREFIX":
+                    kind = "PREFIX"
+                elif word.upper() == "BASE":
+                    cur.fail("BASE is not supported")
                 else:
-                    out.append(ch)
-                    end += 1
-            tokens.append(_Token("string", "".join(out), l, col))
-            pos = end
-            continue
-        if c == "@":
-            if text.startswith("@prefix", pos):
-                tokens.append(_Token("@prefix", None, l, col))
-                pos += len("@prefix")
-                continue
-            if text.startswith("@base", pos):
-                fail("base declarations are not supported; use absolute IRIs")
-            m = _LANGTAG.match(text, pos)
-            if not m:
-                fail("bad language tag or directive")
-            tokens.append(_Token("lang", m.group(0)[1:], l, col))
-            pos = m.end()
-            continue
-        if text.startswith("^^", pos):
-            tokens.append(_Token("^^", None, l, col))
-            pos += 2
-            continue
-        if c == "_" and text.startswith("_:", pos):
-            m = _BLANK.match(text, pos)
-            if not m:
-                fail("bad blank node label")
-            tokens.append(_Token("blank", m.group(0)[2:], l, col))
-            pos = m.end()
-            continue
-        if c.isdigit() or (c in "+-" and pos + 1 < n and (text[pos + 1].isdigit() or text[pos + 1] == ".")) \
-                or (c == "." and pos + 1 < n and text[pos + 1].isdigit()):
-            m = _NUMBER.match(text, pos)
-            if not m:
-                fail("bad number")
-            tokens.append(_Token("number", m.group(0), l, col))
-            pos = m.end()
-            continue
-        if c in ".;,":
-            tokens.append(_Token(c, None, l, col))
-            pos += 1
-            continue
-        m = _PNAME.match(text, pos)
-        if m:
-            name = m.group(0)
-            prefix, local = name.split(":", 1)
-            tokens.append(_Token("pname", (prefix, local), l, col))
-            pos = m.end()
-            continue
-        m = _WORD.match(text, pos)
-        if m:
-            word = m.group(0)
-            if word == "a":
-                tokens.append(_Token("a", None, l, col))
-            elif word in ("true", "false"):
-                tokens.append(_Token("boolean", word, l, col))
-            elif word.upper() == "PREFIX":
-                tokens.append(_Token("PREFIX", None, l, col))
-            elif word.upper() == "BASE":
-                fail("BASE is not supported")
+                    cur.fail(f"unexpected word {word!r}")
             else:
-                fail(f"unexpected word {word!r}")
-            pos = m.end()
-            continue
-        fail(f"unexpected character {c!r}")
-    tokens.append(_Token("eof", None, line, n - line_start + 1))
+                cur.fail(f"unexpected character {c!r}")
+            tokens.append(_Token(kind, value, lineno, pos + 1))
+            cur.pos = end
+    tokens.append(_Token("eof", None, lineno, len(line) + 1))
     return tokens
 
 
 class _Parser:
+    """Reads the triples of a token list without touching the store.
+
+    A triple already in the store stands for its least sid. A new one is
+    recorded once, in ``new``, and stands for its index there until
+    :meth:`install` gives it a sid.
+    """
+
     def __init__(self, tokens: list[_Token], store: Store):
         self.tokens = tokens
         self.i = 0
         self.store = store
         self.prefixes: dict[str, str] = {}
-        # labels already in the store stay untouchable for this document
-        self.reserved_labels = {
-            t.label
-            for st in store.statements()
-            for t in (st.src, st.value)
-            if isinstance(t, BlankNode)
-        }
-        self.blank_map: dict[str, str] = {}
+        self.renames = store_renames(store, {t.value for t in tokens if t.kind == "blank"})
+        self.new: list[tuple] = []
+        self.made: dict[tuple, SidRef | int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -317,22 +221,6 @@ class _Parser:
         except ValueError as e:
             self.fail(tok, str(e))
 
-    def blank(self, tok: _Token) -> BlankNode:
-        label = tok.value
-        if label in self.blank_map:
-            return BlankNode(self.blank_map[label])
-        if label in self.reserved_labels:
-            k = 1
-            while f"{label}_{k}" in self.reserved_labels:
-                k += 1
-            fresh = f"{label}_{k}"
-            self.reserved_labels.add(fresh)
-            self.blank_map[label] = fresh
-            return BlankNode(fresh)
-        self.blank_map[label] = label
-        self.reserved_labels.add(label)
-        return BlankNode(label)
-
     def literal_suffix(self, lexical: str, tok: _Token) -> Literal:
         try:
             if self.peek().kind == "lang":
@@ -358,41 +246,50 @@ class _Parser:
         if tok.kind == "pname":
             return self.expand(tok)
         if tok.kind == "blank":
-            return self.blank(tok)
+            return BlankNode(self.renames.get(tok.value, tok.value))
         if tok.kind == "<<":
             s = self.node(allow_literal=False)
             p = self.verb()
             o = self.node(allow_literal=True)
             self.expect(">>")
-            return SidRef(self.stmt(s, p, o))
+            return self.stmt(s, p, o)
         if not allow_literal:
             self.fail(tok, "a literal cannot appear here")
         if tok.kind == "string":
             return self.literal_suffix(tok.value, tok)
-        if tok.kind == "number":
-            lex = tok.value
-            if "e" in lex or "E" in lex:
-                return Literal(lex, XSD_DOUBLE)
-            if "." in lex:
-                return Literal(lex, XSD_DECIMAL)
-            return Literal(lex, XSD_INTEGER)
-        if tok.kind == "boolean":
-            return Literal(tok.value, XSD_BOOLEAN)
+        if tok.kind in ("number", "boolean"):
+            return bare_literal(tok.value)
         self.fail(tok, "expected a term")
 
-    def stmt(self, s: Term, p: Term, o: Term):
-        existing = self.store.sids_by_content(s, p, o)
-        if existing:
-            return existing[0]
-        if isinstance(s, SidRef) or isinstance(o, SidRef):
-            return self.store.insert_assertion(s, p, o)
-        return self.store.insert_ground(s, p, o)
+    def stmt(self, s, p: Term, o) -> SidRef | int:
+        key = (s, p, o)
+        if key not in self.made:
+            existing = self.store.sids_by_content(s, p, o)
+            self.made[key] = SidRef(existing[0]) if existing else len(self.new)
+            if not existing:
+                self.new.append(key)
+        return self.made[key]
+
+    def install(self) -> None:
+        sids = [self.store.fresh_sid() for _ in self.new]
+
+        def term(t):
+            return SidRef(sids[t]) if isinstance(t, int) else t
+
+        self.store.add_statements(
+            Statement(term(s), p, term(o), sid) for (s, p, o), sid in zip(self.new, sids)
+        )
 
 
 def parse_turtle_star(text: str, store: Store | None = None) -> Store:
-    """Parse the Turtle-star subset; see the module docstring for semantics."""
+    """Parse the Turtle-star subset; see the module docstring for semantics.
+
+    All or nothing: on error the store is left unchanged.
+    """
     store = store if store is not None else Store()
-    _Parser(_tokenize(text), store).parse()
+    parser = _Parser(_tokenize(text), store)
+    parser.parse()
+    parser.install()
     return store
 
 
@@ -400,18 +297,12 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
 
 
 def _render_literal(lit: Literal, prefixes: dict[str, str]) -> str:
+    if bare_literal(lit.lexical) == lit:
+        return lit.lexical
     if lit.language is not None:
         return f'"{escape_string(lit.lexical)}"@{lit.language}'
     if lit.datatype == XSD_STRING:
         return f'"{escape_string(lit.lexical)}"'
-    if lit.datatype == XSD_INTEGER and _BARE_INTEGER.match(lit.lexical):
-        return lit.lexical
-    if lit.datatype == XSD_DECIMAL and _BARE_DECIMAL.match(lit.lexical):
-        return lit.lexical
-    if lit.datatype == XSD_DOUBLE and _BARE_DOUBLE.match(lit.lexical):
-        return lit.lexical
-    if lit.datatype == XSD_BOOLEAN and lit.lexical in ("true", "false"):
-        return lit.lexical
     return f'"{escape_string(lit.lexical)}"^^{_render_iri(lit.datatype, prefixes)}'
 
 

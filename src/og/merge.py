@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Union
 
 from .errors import BadTemplateError, ParseError, SidCollisionError
-from .statements import Statement, Term, is_ground, term_key
+from .statements import Statement, Term, blank_labels, is_ground, rename_apart, term_key
 from .store import Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef
 
@@ -124,15 +124,6 @@ def apply_alignment(term: Term, rules: MergeRules) -> Term:
     return term
 
 
-def _blank_labels(statements) -> set[str]:
-    out = set()
-    for st in statements:
-        for t in (st.src, st.value):
-            if isinstance(t, BlankNode):
-                out.add(t.label)
-    return out
-
-
 def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, MergeReport]:
     """Merge ``b`` into a copy of ``a`` and report what happened.
 
@@ -155,15 +146,9 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
 
     blank_map: dict[str, str] = {}
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
-        preserved = _blank_labels(st for st in b_statements if st.sid in copies)
-        used = _blank_labels(a.statements()) | _blank_labels(b_statements)
-        for label in sorted(_blank_labels(b_statements) - preserved):
-            k = 1
-            while f"{label}_{k}" in used:
-                k += 1
-            fresh = f"{label}_{k}"
-            used.add(fresh)
-            blank_map[label] = fresh
+        preserved = blank_labels(st for st in b_statements if st.sid in copies)
+        b_labels = blank_labels(b_statements)
+        blank_map = rename_apart(b_labels - preserved, blank_labels(a.statements()) | b_labels)
 
     aligned: set[Term] = set()
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .datatypes import Literal
 from .errors import PositionError
@@ -74,6 +74,33 @@ class Statement:
 def is_ground(statement: Statement) -> bool:
     """True when neither source nor value references another statement."""
     return not (isinstance(statement.src, SidRef) or isinstance(statement.value, SidRef))
+
+
+def blank_labels(statements: Iterable[Statement]) -> set[str]:
+    """Labels of the blank nodes in source or value position."""
+    return {
+        t.label
+        for st in statements
+        for t in (st.src, st.value)
+        if isinstance(t, BlankNode)
+    }
+
+
+def rename_apart(labels: Iterable[str], taken: Iterable[str]) -> dict[str, str]:
+    """A fresh ``label_k`` for each label, with the least k not yet taken.
+
+    Labels are renamed in sorted order, and each new name counts as taken
+    for the labels after it.
+    """
+    taken = set(taken)
+    renames = {}
+    for label in sorted(labels):
+        k = 1
+        while f"{label}_{k}" in taken:
+            k += 1
+        renames[label] = f"{label}_{k}"
+        taken.add(renames[label])
+    return renames
 
 
 def referenced_sids(statement: Statement) -> set[Sid]:

@@ -12,6 +12,7 @@ Views know to treat that label specially; the store does not.
 
 from __future__ import annotations
 
+import copy
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -77,8 +78,9 @@ class Store:
         return set(self._referrers.get(sid, ()))
 
     def copy(self) -> "Store":
-        """A content-equal store (sid-issuing mode is not carried over)."""
+        """A content-equal store that goes on issuing sids where this one is."""
         out = Store()
+        out._sids = copy.copy(self._sids)
         out.add_statements(self._by_sid.values())
         return out
 

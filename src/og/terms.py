@@ -109,6 +109,11 @@ class SidFactory:
     def seeded(self) -> bool:
         return self._counter is not None
 
+    def __copy__(self) -> "SidFactory":
+        out = SidFactory(self._counter)
+        out._seen = set(self._seen)
+        return out
+
     def reserve(self, sid: Sid) -> None:
         self._seen.add(sid)
 

@@ -208,9 +208,10 @@ def lpg_add_edge(
             ends.append(_vertex_term_for_new(vid))
         else:
             raise UnknownEndpointError(f"no vertex with id {vid!r}")
+    props = [(LocalId(key), _as_literal(value)) for key, value in (properties or {}).items()]
     sid = store.insert_ground(ends[0], LocalId(label), ends[1])
-    for key, value in (properties or {}).items():
-        store.insert_assertion(SidRef(sid), LocalId(key), _as_literal(value))
+    for key, value in props:
+        store.insert_assertion(SidRef(sid), key, value)
     return sid
 
 

@@ -18,6 +18,7 @@ from og import (
     XSD_STRING,
     parse_turtle_star,
     rdf_star_view,
+    serialize_ognq,
     serialize_turtle_star,
 )
 from strategies import stores
@@ -95,6 +96,28 @@ class TestParse:
         assert e.value.line is not None
 
 
+class TestAtomicParse:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "<urn:x:a> <urn:x:p> _:n .\n<urn:x:a> <urn:x:p> <urn:x:b c> .\n",
+            "<< <urn:x:a> <urn:x:p> 1 >> <urn:x:q> _:m .\nex:a <urn:x:p> 1 .\n",
+        ],
+    )
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_a_failed_parse_leaves_the_store_unchanged(self, doc, filled):
+        store, twin = Store(seed=0), Store(seed=0)
+        if filled:
+            for st in (store, twin):
+                parse_turtle_star("_:n <urn:x:p> <urn:x:a> .\n<urn:x:a> <urn:x:p> 1 .\n", st)
+        before = serialize_ognq(store)
+        with pytest.raises(ParseError) as e:
+            parse_turtle_star(doc, store)
+        assert e.value.line == 2
+        assert serialize_ognq(store) == before
+        assert store.fresh_sid() == twin.fresh_sid()
+
+
 class TestSerialize:
     def test_toy_view_golden(self, toy_store):
         assert serialize_turtle_star(rdf_star_view(toy_store)) == TOY_TTLS
@@ -117,6 +140,14 @@ class TestSerialize:
         assert out == "<urn:x:a> <urn:x:p> 0020 .\n"
         back = parse_turtle_star(out)
         assert back.statements()[0].value == Literal("0020", XSD_INTEGER)
+
+    @pytest.mark.parametrize("lexical", ["5.e3", "5.E0"])
+    def test_bare_doubles_read_back_unchanged(self, lexical):
+        lit = Literal(lexical, XSD_DOUBLE)
+        g = RdfStarGraph(triples=frozenset({(Iri("urn:x:a"), Iri("urn:x:p"), lit)}))
+        out = serialize_turtle_star(g)
+        assert out == f"<urn:x:a> <urn:x:p> {lexical} .\n"
+        assert parse_turtle_star(out).statements()[0].value == lit
 
     def test_unexposed_local_ids_are_refused(self):
         g = RdfStarGraph(triples=frozenset({(LocalId("a"), Iri("urn:x:p"), Literal("v"))}))

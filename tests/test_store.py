@@ -126,6 +126,14 @@ class TestAddStatements:
             st.add_statements(batch)
 
 
+class TestCopy:
+    def test_copy_issues_the_sid_the_original_would(self, toy_store):
+        toy_store.delete_statement(toy_store.insert_ground(Iri("urn:x:a"), Iri("urn:x:p"), Literal("v")))
+        copied = toy_store.copy()
+        assert [st for st in copied] == [st for st in toy_store]
+        assert copied.fresh_sid() == toy_store.fresh_sid()
+
+
 class TestDelete:
     def test_cascade_counts_the_closure(self, toy_store):
         knows = toy_store.statements()[0].sid

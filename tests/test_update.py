@@ -239,6 +239,13 @@ class TestLpgAddEdge:
             lpg_add_edge(two_vertices, "A", "B", "knows", properties={"p": object()})
 
 
+    @pytest.mark.parametrize("properties", [{"w": object()}, {"ok": 1, "bad": object()}])
+    def test_refused_edge_leaves_the_store_unchanged(self, two_vertices, properties):
+        with pytest.raises(UnsupportedValueError):
+            lpg_add_edge(two_vertices, "A", "B", "knows", properties=properties)
+        assert len(two_vertices) == 2
+
+
 class TestLpgSetProperty:
     def test_vertex_property_replaces_all_sites(self):
         store = Store(seed=0)
