@@ -272,6 +272,20 @@ def render_term(t: Term, *, allow_local: bool = False, sid_refs: bool = False) -
     raise ValueError(f"not a term: {t!r}")
 
 
+def install_new(store: Store, triples: list[tuple]) -> None:
+    """Install one statement per (src, label, value) under fresh sids, all at once.
+
+    A src or value that is an int stands for the statement at that index of
+    ``triples``. Nothing is issued or installed before every triple is built.
+    """
+    sids = [store.fresh_sid() for _ in triples]
+
+    def term(t):
+        return SidRef(sids[t]) if isinstance(t, int) else t
+
+    store.add_statements(Statement(term(s), p, term(o), sid) for (s, p, o), sid in zip(triples, sids))
+
+
 def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
     """Renames keeping a document's blank labels apart from the store's."""
     existing = blank_labels(store.statements())

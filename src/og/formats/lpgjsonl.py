@@ -22,8 +22,9 @@ import math
 from ..datatypes import XSD_STRING, Literal, coerce_lpg_value
 from ..errors import ParseError, UnknownEndpointError, UnsupportedValueError
 from ..store import Store
-from ..terms import LocalId, SidRef, sid_text
+from ..terms import LocalId, sid_text
 from ..views import DEFAULT_VERTEX_LABEL, LpgGraph, VertexProperty
+from .common import install_new
 
 _LABEL = LocalId("label")
 
@@ -67,25 +68,27 @@ def _value_entries(raw, lineno: int, allow_meta: bool) -> list[tuple[object, dic
     return out
 
 
-def _insert_properties(store: Store, subject, raw_props, lineno: int, ground: bool):
+def _property_triples(batch: list[tuple], subject, raw_props, lineno: int) -> None:
+    """Append a property map's triples about ``subject`` (a term, or the
+    batch index of an edge) to the batch, each value's meta after it."""
     if not isinstance(raw_props, dict):
         raise ParseError('"properties" must be an object', line=lineno)
     for key, raw in raw_props.items():
         pred = _local(key, "property key", lineno)
         for value, meta in _value_entries(raw, lineno, allow_meta=True):
-            lit = coerce_lpg_value(value)
-            if ground:
-                sid = store.insert_ground(subject, pred, lit)
-            else:
-                sid = store.insert_assertion(SidRef(subject), pred, lit)
+            site = len(batch)
+            batch.append((subject, pred, coerce_lpg_value(value)))
             for mk, mraw in meta.items():
                 mpred = _local(mk, "meta key", lineno)
                 for mv, _ in _value_entries(mraw, lineno, allow_meta=False):
-                    store.insert_assertion(SidRef(sid), mpred, coerce_lpg_value(mv))
+                    batch.append((site, mpred, coerce_lpg_value(mv)))
 
 
 def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
-    """Parse a property-graph document; see the module docstring for shapes."""
+    """Parse a property-graph document; see the module docstring for shapes.
+
+    All or nothing: on error the store is left unchanged.
+    """
     store = store if store is not None else Store()
     docs: list[tuple[int, dict]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -101,6 +104,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
             raise ParseError('"type" must be "vertex" or "edge"', line=lineno)
         docs.append((lineno, doc))
 
+    batch: list[tuple] = []
     vertices: dict[str, LocalId] = {}
     anchored: set[str] = set()
     for lineno, doc in docs:
@@ -119,9 +123,9 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
         if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
             raise ParseError('"labels" must be an array of strings', line=lineno)
         for lbl in dict.fromkeys(labels):
-            store.insert_ground(term, _LABEL, Literal(lbl, XSD_STRING))
+            batch.append((term, _LABEL, Literal(lbl, XSD_STRING)))
         props = doc.get("properties", {})
-        _insert_properties(store, term, props, lineno, ground=True)
+        _property_triples(batch, term, props, lineno)
         if labels or props:
             anchored.add(term.text)
 
@@ -150,12 +154,14 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
                 )
             ends.append(vertices[name])
             anchored.add(name)
-        sid = store.insert_ground(ends[0], label, ends[1])
-        _insert_properties(store, sid, doc.get("properties", {}), lineno, ground=False)
+        edge = len(batch)
+        batch.append((ends[0], label, ends[1]))
+        _property_triples(batch, edge, doc.get("properties", {}), lineno)
 
     for vid, term in vertices.items():
         if vid not in anchored:
-            store.insert_ground(term, _LABEL, Literal(DEFAULT_VERTEX_LABEL, XSD_STRING))
+            batch.append((term, _LABEL, Literal(DEFAULT_VERTEX_LABEL, XSD_STRING)))
+    install_new(store, batch)
     return store
 
 

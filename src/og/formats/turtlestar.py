@@ -18,7 +18,7 @@ import re
 
 from ..datatypes import RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
-from ..statements import Statement, Term
+from ..statements import Term
 from ..store import Store
 from ..terms import BlankNode, Iri, LocalId, SidRef
 from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph
@@ -28,6 +28,7 @@ from .common import (
     bare_literal,
     escape_iri,
     escape_string,
+    install_new,
     scan_iri_text,
     scan_string_body,
     store_renames,
@@ -122,7 +123,7 @@ class _Parser:
 
     A triple already in the store stands for its least sid. A new one is
     recorded once, in ``new``, and stands for its index there until
-    :meth:`install` gives it a sid.
+    :func:`install_new` gives it a sid.
     """
 
     def __init__(self, tokens: list[_Token], store: Store):
@@ -270,16 +271,6 @@ class _Parser:
                 self.new.append(key)
         return self.made[key]
 
-    def install(self) -> None:
-        sids = [self.store.fresh_sid() for _ in self.new]
-
-        def term(t):
-            return SidRef(sids[t]) if isinstance(t, int) else t
-
-        self.store.add_statements(
-            Statement(term(s), p, term(o), sid) for (s, p, o), sid in zip(self.new, sids)
-        )
-
 
 def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     """Parse the Turtle-star subset; see the module docstring for semantics.
@@ -289,7 +280,7 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     store = store if store is not None else Store()
     parser = _Parser(_tokenize(text), store)
     parser.parse()
-    parser.install()
+    install_new(store, parser.new)
     return store
 
 

@@ -9,6 +9,7 @@ collapse content-identical ground statements.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -213,7 +214,12 @@ def _collapse_identical_content(store: Store) -> tuple[Store, int]:
             return SidRef(sid_map[t.sid])
         return t
 
+    # the rebuilt store goes on issuing sids where this one is, and never
+    # issues the sids of the statements it folds away
     rebuilt = Store()
+    rebuilt._sids = copy.copy(store._sids)
+    for loser in sid_map:
+        rebuilt._sids.reserve(loser)
     rebuilt.add_statements(
         Statement(redirect(st.src), st.label, redirect(st.value), st.sid)
         for st in store.statements()

@@ -15,7 +15,9 @@ from __future__ import annotations
 import copy
 from enum import Enum
 from typing import Iterable, Iterator
+from urllib.parse import unquote
 
+from .datatypes import Literal
 from .errors import (
     DanglingSidError,
     NotFoundError,
@@ -27,8 +29,7 @@ from .statements import (
     GraphId,
     Statement,
     StatementPattern,
-    is_ground,
-    referenced_sids,
+    Term,
     term_key,
 )
 from .terms import Iri, LocalId, Sid, SidFactory, SidRef
@@ -43,12 +44,22 @@ class DeletePolicy(Enum):
 
 
 class Store:
-    """Mutable statement store with sid, content, and reverse-reference indexes."""
+    """Mutable statement store with sid, content, source, node and
+    reverse-reference indexes."""
 
     def __init__(self, seed: int | None = None):
         self._by_sid: dict[Sid, Statement] = {}
-        self._by_content: dict[tuple, set[Sid]] = {}
-        self._referrers: dict[Sid, set[Sid]] = {}
+        # Group indexes: each maps a key to its one member, or to a set of
+        # two or more (see _add).
+        self._by_content: dict[tuple, Sid | set[Sid]] = {}
+        self._referrers: dict[Sid, Sid | set[Sid]] = {}
+        # statements by source, for every source that is not a SidRef
+        self._by_src: dict[Term, Sid | set[Sid]] = {}
+        # the node IRIs that contain '%', by their percent-decoded text
+        self._escaped_nodes: dict[str, Iri | set[Iri]] = {}
+        # occurrences of each node (source, or non-literal value) of the
+        # ground statements outside graph membership
+        self._nodes: dict[Term, int] = {}
         self._sids = SidFactory(seed)
 
     # --- basics ---------------------------------------------------------
@@ -71,11 +82,11 @@ class Store:
 
     def fresh_sid(self) -> Sid:
         """A sid unique for this store's lifetime (never recycled)."""
-        return self._sids.fresh()
+        return self._sids.fresh(self._by_sid)
 
     def referrers(self, sid: Sid) -> set[Sid]:
         """Sids of assertions that reference the given sid directly."""
-        return set(self._referrers.get(sid, ()))
+        return set(_members(self._referrers, sid))
 
     def copy(self) -> "Store":
         """A content-equal store that goes on issuing sids where this one is."""
@@ -87,11 +98,36 @@ class Store:
     # --- insertion ------------------------------------------------------
 
     def _install(self, st: Statement) -> None:
-        self._by_sid[st.sid] = st
-        self._by_content.setdefault(st.content, set()).add(st.sid)
-        for ref in referenced_sids(st):
-            self._referrers.setdefault(ref, set()).add(st.sid)
-        self._sids.reserve(st.sid)
+        # the hot path of every load: _add's common case, a new key, and the
+        # node count of a known node are inlined
+        sid, src, label, value = st.sid, st.src, st.label, st.value
+        self._by_sid[sid] = st
+        key = (src, label, value)
+        if self._by_content.setdefault(key, sid) is not sid:
+            _add(self._by_content, key, sid)
+        if isinstance(value, SidRef):
+            _add(self._referrers, value.sid, sid)
+        if isinstance(src, SidRef):
+            _add(self._referrers, src.sid, sid)
+            return
+        if self._by_src.setdefault(src, sid) is not sid:
+            _add(self._by_src, src, sid)
+        if isinstance(value, SidRef) or _is_membership(label):
+            return
+        nodes = self._nodes
+        n = nodes.get(src, 0)
+        nodes[src] = n + 1
+        if not n:
+            self._new_node(src)
+        if not isinstance(value, Literal):
+            n = nodes.get(value, 0)
+            nodes[value] = n + 1
+            if not n:
+                self._new_node(value)
+
+    def _new_node(self, term: Term) -> None:
+        if isinstance(term, Iri) and "%" in term.text:
+            _add(self._escaped_nodes, unquote(term.text), term)
 
     def insert_ground(self, src, label, value) -> Sid:
         """Insert a plain edge under a fresh sid.
@@ -128,46 +164,67 @@ class Store:
         DanglingSidError when references cannot be resolved (absent or
         cyclic). Atomic: on error the store is left unchanged.
         """
-        pending = list(statements)
-        seen = set(self._by_sid)
-        for st in pending:
-            if st.sid in seen:
+        batch: dict[Sid, Statement] = {}
+        for st in statements:
+            if st.sid in self._by_sid or st.sid in batch:
                 raise SidCollisionError(f"sid already present: {st.sid}")
-            seen.add(st.sid)
-        # Resolve against a simulated sid set before touching the store.
-        resolved = set(self._by_sid)
+            batch[st.sid] = st
+        # Kahn's order over the references into the batch, before touching
+        # the store. A statement goes in at its own place in the batch unless
+        # it waits for a later one, so a batch in reference order keeps it.
         ordered: list[Statement] = []
-        while pending:
-            stuck = []
-            for st in pending:
-                if all(r in resolved for r in referenced_sids(st)):
-                    ordered.append(st)
-                    resolved.add(st.sid)
-                else:
-                    stuck.append(st)
-            if len(stuck) == len(pending):
-                bad = sorted(str(st.sid) for st in stuck)
-                raise DanglingSidError(f"unresolvable references (absent or cyclic) from: {bad}")
-            pending = stuck
+        placed: set[Sid] = set()
+        waiting: dict[Sid, list[Statement]] = {}
+        blocked: dict[Sid, int] = {}
+        for st in batch.values():
+            refs = [
+                t.sid
+                for t in (st.src, st.value)
+                if isinstance(t, SidRef) and t.sid not in self._by_sid and t.sid not in placed
+            ]
+            if refs:
+                blocked[st.sid] = len(refs)
+                for r in refs:
+                    waiting.setdefault(r, []).append(st)
+                continue
+            ordered.append(st)
+            placed.add(st.sid)
+            ready = waiting.pop(st.sid, None) if waiting else None
+            while ready:
+                later = ready.pop()
+                blocked[later.sid] -= 1
+                if not blocked[later.sid]:
+                    ordered.append(later)
+                    placed.add(later.sid)
+                    ready.extend(waiting.pop(later.sid, ()))
+        if len(ordered) < len(batch):
+            bad = sorted(str(sid) for sid, n in blocked.items() if n)
+            raise DanglingSidError(f"unresolvable references (absent or cyclic) from: {bad}")
         for st in ordered:
             self._install(st)
 
     # --- deletion -------------------------------------------------------
 
     def _uninstall(self, st: Statement) -> None:
-        del self._by_sid[st.sid]
-        group = self._by_content.get(st.content)
-        if group is not None:
-            group.discard(st.sid)
-            if not group:
-                del self._by_content[st.content]
-        for ref in referenced_sids(st):
-            peers = self._referrers.get(ref)
-            if peers is not None:
-                peers.discard(st.sid)
-                if not peers:
-                    del self._referrers[ref]
-        self._referrers.pop(st.sid, None)
+        sid, src, label, value = st.sid, st.src, st.label, st.value
+        del self._by_sid[sid]
+        self._sids.reserve(sid)
+        self._referrers.pop(sid, None)
+        _discard(self._by_content, (src, label, value), sid)
+        if isinstance(value, SidRef):
+            _discard(self._referrers, value.sid, sid)
+        if isinstance(src, SidRef):
+            _discard(self._referrers, src.sid, sid)
+            return
+        _discard(self._by_src, src, sid)
+        if isinstance(value, SidRef) or _is_membership(label):
+            return
+        for node in (src,) if isinstance(value, Literal) else (src, value):
+            n = self._nodes.pop(node) - 1
+            if n:
+                self._nodes[node] = n
+            elif isinstance(node, Iri) and "%" in node.text:
+                _discard(self._escaped_nodes, unquote(node.text), node)
 
     def delete_statement(self, sid: Sid, policy: DeletePolicy = DeletePolicy.CASCADE) -> int:
         """Delete a statement; returns how many statements were removed.
@@ -178,14 +235,14 @@ class Store:
         if sid not in self._by_sid:
             raise NotFoundError(f"no statement with sid {sid}")
         if policy is DeletePolicy.RESTRICT:
-            if self._referrers.get(sid):
+            if sid in self._referrers:
                 raise ReferencedSidError(f"sid {sid} is still referenced")
             self._uninstall(self._by_sid[sid])
             return 1
         closure = {sid}
         queue = [sid]
         while queue:
-            for r in self._referrers.get(queue.pop(), ()):
+            for r in _members(self._referrers, queue.pop()):
                 if r not in closure:
                     closure.add(r)
                     queue.append(r)
@@ -196,18 +253,40 @@ class Store:
     # --- query ----------------------------------------------------------
 
     def match(self, pattern: StatementPattern) -> list[Statement]:
-        """Statements matching the pattern, in sid order."""
+        """Statements matching the pattern, in sid order.
+
+        Looks up by sid, by full content or by source; a pattern with only a
+        label and/or a value scans the store.
+        """
         if pattern.sid is not None:
             st = self._by_sid.get(pattern.sid)
             return [st] if st is not None and pattern.matches(st) else []
         if pattern.src is not None and pattern.label is not None and pattern.value is not None:
-            sids = self._by_content.get((pattern.src, pattern.label, pattern.value), set())
+            sids = _members(self._by_content, (pattern.src, pattern.label, pattern.value))
             return [self._by_sid[s] for s in sorted(sids)]
-        return [st for st in self.statements() if pattern.matches(st)]
+        if isinstance(pattern.src, SidRef):
+            sids = _members(self._referrers, pattern.src.sid)
+        elif pattern.src is not None:
+            sids = _members(self._by_src, pattern.src)
+        else:
+            return [st for st in self.statements() if pattern.matches(st)]
+        found = (self._by_sid[s] for s in sorted(sids))
+        return [st for st in found if pattern.matches(st)]
 
     def sids_by_content(self, src, label, value) -> list[Sid]:
         """Sids of statements with exactly this content, sorted."""
-        return sorted(self._by_content.get((src, label, value), set()))
+        return sorted(_members(self._by_content, (src, label, value)))
+
+    def is_node(self, term: Term) -> bool:
+        """Whether the term is a source, or a non-literal value, of some
+        ground statement outside graph membership."""
+        return term in self._nodes
+
+    def escaped_nodes(self, decoded: str | None = None) -> set[Iri]:
+        """Node IRIs containing '%' whose percent-decoded text is ``decoded``,
+        or all of them when it is None."""
+        keys = self._escaped_nodes if decoded is None else (decoded,)
+        return {t for key in keys for t in _members(self._escaped_nodes, key)}
 
     # --- graph membership -----------------------------------------------
 
@@ -234,3 +313,39 @@ class Store:
             if st.label == IN_GRAPH and isinstance(st.value, (Iri, LocalId))
         }
         return sorted(graphs, key=term_key)
+
+
+def _is_membership(label: Term) -> bool:
+    """``label == IN_GRAPH``, without the dataclass ``__eq__`` call."""
+    return type(label) is Iri and label.text == IN_GRAPH.text
+
+
+# Most keys of a group index have one member, and a set of one costs 216
+# bytes, so a lone member is stored bare and a set holds two or more.
+
+
+def _add(index: dict, key, member) -> None:
+    group = index.setdefault(key, member)
+    if group is member:
+        return
+    if type(group) is set:
+        group.add(member)
+    elif group != member:
+        index[key] = {group, member}
+
+
+def _discard(index: dict, key, member) -> None:
+    group = index.get(key)
+    if type(group) is set:
+        group.discard(member)
+        if len(group) == 1:
+            index[key] = group.pop()
+    elif group is not None and group == member:
+        del index[key]
+
+
+def _members(index: dict, key) -> set | tuple:
+    group = index.get(key)
+    if group is None:
+        return ()
+    return group if type(group) is set else (group,)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import uuid
 from dataclasses import dataclass
+from typing import Container
 
 Sid = uuid.UUID
 
@@ -96,14 +97,16 @@ class SidFactory:
 
     Random (uuid4) by default. With a seed, sids are sequential starting at
     seed+1 so runs are reproducible; seed 0 issues
-    00000000-0000-0000-0000-000000000001 first. Identifiers loaded from files
-    are reserved so a seeded counter can never re-issue them, and sids are
-    never reused after deletion.
+    00000000-0000-0000-0000-000000000001 first. :meth:`fresh` skips the sids
+    its caller still holds (a store passes its live sids) and the reserved
+    ones (a store reserves the sids of deleted statements), so a sid is
+    never reused after deletion and a seeded counter never re-issues an
+    identifier loaded from a file.
     """
 
     def __init__(self, seed: int | None = None):
         self._counter = seed
-        self._seen: set[Sid] = set()
+        self._reserved: set[Sid] = set()
 
     @property
     def seeded(self) -> bool:
@@ -111,19 +114,18 @@ class SidFactory:
 
     def __copy__(self) -> "SidFactory":
         out = SidFactory(self._counter)
-        out._seen = set(self._seen)
+        out._reserved = set(self._reserved)
         return out
 
     def reserve(self, sid: Sid) -> None:
-        self._seen.add(sid)
+        self._reserved.add(sid)
 
-    def fresh(self) -> Sid:
+    def fresh(self, live: Container[Sid] = ()) -> Sid:
         while True:
             if self._counter is None:
                 sid = uuid.uuid4()
             else:
                 self._counter += 1
                 sid = uuid.UUID(int=self._counter)
-            if sid not in self._seen:
-                self._seen.add(sid)
+            if sid not in live and sid not in self._reserved:
                 return sid

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import uuid
 from enum import Enum
+from itertools import product
 
 from .datatypes import Literal, coerce_lpg_value
 from .errors import (
@@ -25,10 +26,18 @@ from .errors import (
     ReferencedSidError,
     UnknownEndpointError,
 )
-from .statements import Statement, Term, is_ground, term_key
+from .statements import Statement, StatementPattern, Term, is_ground, term_key
 from .store import IN_GRAPH, DeletePolicy, Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef
-from .views import DEFAULT_LOCAL_NS, LpgViewConfig, _display, _expose, _is_text, local_from_iri
+from .views import (
+    DEFAULT_LOCAL_NS,
+    LpgViewConfig,
+    _display,
+    _expose,
+    _is_text,
+    expose_local_as_iri,
+    local_from_iri,
+)
 
 
 class AmbiguityPolicy(Enum):
@@ -53,16 +62,24 @@ def _internalize(t: Term, namespace: str) -> Term:
     return t
 
 
+def _spellings(t: Term, namespace: str) -> list[Term]:
+    """The store terms whose exposed form equals that of ``t``: the exposed
+    term itself, and the local identifier that exposes exactly as it."""
+    exposed = _expose(t, namespace)
+    if isinstance(exposed, Iri):
+        local = local_from_iri(exposed, namespace)
+        if local is not None and expose_local_as_iri(local, namespace) == exposed:
+            return [exposed, local]
+    return [exposed]
+
+
 def _ground_matches(store: Store, s: Term, p: Term, o: Term, namespace: str) -> list[Statement]:
-    """Visible ground statements whose exposed triple is (s, p, o)."""
-    want = (_expose(s, namespace), _expose(p, namespace), _expose(o, namespace))
-    return [
-        st
-        for st in store.statements()
-        if is_ground(st)
-        and st.label != IN_GRAPH
-        and (_expose(st.src, namespace), _expose(st.label, namespace), _expose(st.value, namespace)) == want
-    ]
+    """Visible ground statements whose exposed triple is (s, p, o), in sid order."""
+    sids = set()
+    for content in product(*(_spellings(t, namespace) for t in (s, p, o))):
+        sids.update(store.sids_by_content(*content))
+    found = (store.get(sid) for sid in sorted(sids))
+    return [st for st in found if is_ground(st) and st.label != IN_GRAPH]
 
 
 def rdf_delete_triple(
@@ -152,18 +169,30 @@ def _as_literal(value) -> Literal:
     return value if isinstance(value, Literal) else coerce_lpg_value(value)
 
 
-def _vertex_candidates(store: Store, cfg: LpgViewConfig) -> dict[str, list[Term]]:
-    """Store terms behind each vertex id, least term first."""
-    found: dict[str, set[Term]] = {}
-    for st in store.statements():
-        if not is_ground(st) or st.label == IN_GRAPH:
-            continue
-        nodes = [st.src]
-        if not isinstance(st.value, Literal):
-            nodes.append(st.value)
-        for t in nodes:
-            found.setdefault(_display(t, cfg), set()).add(t)
-    return {vid: sorted(terms, key=term_key) for vid, terms in found.items()}
+def _vertex_terms(store: Store, vertex_id: str, cfg: LpgViewConfig) -> list[Term]:
+    """Store terms behind a vertex id, least term first; empty for no vertex.
+
+    Inverts :func:`_display`: a vertex id can only come from its local
+    identifier, its blank node, an IRI under the default namespace (any
+    spelling of the percent escapes), or an IRI under a prefix or in full.
+    """
+    ns = cfg.default_namespace
+    spellings = [(LocalId, vertex_id), (Iri, vertex_id), (Iri, ns + vertex_id)]
+    spellings += [
+        (Iri, base + vertex_id[len(label) + 1:])
+        for label, base in cfg.prefixes.items()
+        if vertex_id.startswith(label + ":")
+    ]
+    if vertex_id.startswith("_:"):
+        spellings.append((BlankNode, vertex_id[2:]))
+    candidates = store.escaped_nodes(None if "%" in ns else ns + vertex_id)
+    for make, text in spellings:
+        try:
+            candidates.add(make(text))
+        except ValueError:
+            pass
+    found = [t for t in candidates if store.is_node(t) and _display(t, cfg) == vertex_id]
+    return sorted(found, key=term_key)
 
 
 def _vertex_term_for_new(vertex_id: str) -> Term:
@@ -199,11 +228,11 @@ def lpg_add_edge(
     with the edge itself (and pick up the default label in views).
     """
     cfg = config or LpgViewConfig()
-    candidates = _vertex_candidates(store, cfg)
     ends = []
     for vid in (source, target):
-        if vid in candidates:
-            ends.append(candidates[vid][0])
+        terms = _vertex_terms(store, vid, cfg) if isinstance(vid, str) else []
+        if terms:
+            ends.append(terms[0])
         elif auto_create:
             ends.append(_vertex_term_for_new(vid))
         else:
@@ -231,14 +260,16 @@ def lpg_set_property(
     cfg = config or LpgViewConfig()
 
     if isinstance(element, str):
-        candidates = _vertex_candidates(store, cfg)
-        if element in candidates:
-            terms = set(candidates[element])
+        terms = _vertex_terms(store, element, cfg)
+        if terms:
+            sites = sorted(
+                (st for t in terms for st in store.match(StatementPattern(src=t))),
+                key=lambda st: st.sid,
+            )
             old = [
                 st
-                for st in store.statements()
+                for st in sites
                 if is_ground(st)
-                and st.src in terms
                 and isinstance(st.value, Literal)
                 and not (st.label in cfg.label_predicates and _is_text(st.value))
                 and _display(st.label, cfg) == key
@@ -246,7 +277,7 @@ def lpg_set_property(
             pred = old[0].label if old else LocalId(key)
             for st in old:
                 store.delete_statement(st.sid, DeletePolicy.CASCADE)
-            return store.insert_ground(candidates[element][0], pred, _as_literal(value))
+            return store.insert_ground(terms[0], pred, _as_literal(value))
         try:
             element = uuid.UUID(element)
         except ValueError:
@@ -257,8 +288,8 @@ def lpg_set_property(
     ref = SidRef(element)
     old = [
         st
-        for st in store.statements()
-        if st.src == ref and isinstance(st.value, Literal) and _display(st.label, cfg) == key
+        for st in store.match(StatementPattern(src=ref))
+        if isinstance(st.value, Literal) and _display(st.label, cfg) == key
     ]
     pred = old[0].label if old else LocalId(key)
     for st in old:

@@ -10,13 +10,16 @@ from __future__ import annotations
 from og import (
     IN_GRAPH,
     Iri,
+    Literal,
     LocalId,
     SidRef,
     expose_local_as_iri,
     is_ground,
     referenced_sids,
     sid_iri,
+    term_key,
 )
+from og.views import _display
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -202,3 +205,41 @@ def lpg_shape(graph):
         sorted((e.source, e.target, e.label, props(e.properties)) for e in graph.edges.values())
     )
     return vertices, edges
+
+
+def ground_matches(statements, s, p, o, namespace="urn:og:local:"):
+    """Expected target of a view-level triple update, in the order given.
+
+    Every visible ground statement whose exposed triple is (s, p, o).
+    """
+    want = (exposed(s, namespace), exposed(p, namespace), exposed(o, namespace))
+    return [
+        st
+        for st in statements
+        if is_ground(st)
+        and st.label != IN_GRAPH
+        and (exposed(st.src, namespace), exposed(st.label, namespace), exposed(st.value, namespace)) == want
+    ]
+
+
+def vertex_candidates(statements, cfg):
+    """Expected store terms behind each vertex id, least term first.
+
+    A node is the source, or the non-literal value, of a ground statement
+    outside graph membership; its vertex id is its property-graph display.
+    """
+    found: dict = {}
+    for st in statements:
+        if not is_ground(st) or st.label == IN_GRAPH:
+            continue
+        nodes = [st.src]
+        if not isinstance(st.value, Literal):
+            nodes.append(st.value)
+        for t in nodes:
+            found.setdefault(_display(t, cfg), set()).add(t)
+    return {vid: sorted(terms, key=term_key) for vid, terms in found.items()}
+
+
+def pattern_matches(statements, pattern):
+    """Expected Store.match result: the matching statements, in the order given."""
+    return [st for st in statements if pattern.matches(st)]

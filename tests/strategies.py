@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
+from urllib.parse import quote
 
 from hypothesis import strategies as st
 
 from og import (
+    IN_GRAPH,
     BlankNode,
+    DeletePolicy,
     Iri,
     Literal,
     LocalId,
@@ -21,6 +25,7 @@ from og import (
     XSD_STRING,
     list_fold,
 )
+from og.views import RDF_TYPE
 
 # LocalId takes anything non-empty without whitespace or angle brackets.
 local_texts = st.text(
@@ -90,4 +95,82 @@ def stores(draw, max_statements: int = 14, membership_rate: float = 0.0):
         for s in list(store.statements()):
             if rng.random() < membership_rate:
                 store.set_graph_membership(s.sid, rng.choice(graphs))
+    return store
+
+
+# --- many spellings of one identifier --------------------------------------
+
+#: Namespaces for local identifiers: the default, the empty one (every IRI
+#: is then decoded), and one that holds a percent escape itself.
+NAMESPACES = ["urn:og:local:", "", "urn:e%2Fx:"]
+#: Prefixes of the property-graph display; "exa" is longer than "ex".
+PREFIXES = {"ex": "http://ex.org/", "exa": "http://ex.org/a", "og": "urn:og:"}
+
+# Few characters, so that different spellings of one text meet often: "/"
+# and "é" are escaped by exposure, "%2F" and "%2f" read as "/" when decoded.
+spelling_texts = st.lists(
+    st.sampled_from(["a", "b", "/", "%2F", "%2f", "%", "é", " ", "x:"]), min_size=1, max_size=4
+).map("".join)
+
+
+def _lower_escapes(text: str) -> str:
+    return re.sub(r"%[0-9A-F]{2}", lambda m: m.group().lower(), text)
+
+
+def spelled(text: str, namespace: str, how: str):
+    """``text`` as a term: a local identifier, or an IRI under the namespace
+    with canonical, lowercase-hex or unescaped percent escapes, or under a
+    prefix, or a blank node. None when the text cannot be that term."""
+    makers = {
+        "local": lambda: LocalId(text),
+        "canonical": lambda: Iri(namespace + quote(text, safe="")),
+        "lowercase": lambda: Iri(namespace + _lower_escapes(quote(text, safe=""))),
+        "unescaped": lambda: Iri(namespace + text),
+        "ex": lambda: Iri(PREFIXES["ex"] + text),
+        "exa": lambda: Iri(PREFIXES["exa"] + text),
+        "full": lambda: Iri("urn:z:" + text),
+        "blank": lambda: BlankNode(text),
+    }
+    try:
+        return makers[how]()
+    except ValueError:
+        return None
+
+
+SPELLINGS = ["local", "canonical", "lowercase", "unescaped", "ex", "exa", "full", "blank"]
+
+
+@st.composite
+def spelled_terms(draw, namespace: str):
+    """A node or label term in one of the spellings, never None."""
+    term = spelled(draw(spelling_texts), namespace, draw(st.sampled_from(SPELLINGS)))
+    return term if term is not None else draw(st.sampled_from([LocalId("a"), BlankNode("b")]))
+
+
+@st.composite
+def spelled_stores(draw, namespace: str, max_statements: int = 16):
+    """Stores whose nodes and labels collide across spellings, with
+    assertions, memberships, ground statements under the membership label,
+    and a few deletions so that the indexes have shrunk as well as grown."""
+    store = Store(seed=0)
+    rng = draw(st.randoms(use_true_random=False))
+    labels = st.one_of(
+        spelled_terms(namespace).filter(lambda t: isinstance(t, (Iri, LocalId))),
+        st.sampled_from([LocalId("label"), RDF_TYPE, IN_GRAPH]),
+    )
+    for _ in range(draw(st.integers(0, max_statements))):
+        sids = [s.sid for s in store.statements()]
+        value = draw(st.one_of(spelled_terms(namespace), plain_literals))
+        if sids and rng.random() < 0.3:
+            ref = SidRef(rng.choice(sids))
+            if rng.random() < 0.5:
+                store.insert_assertion(ref, draw(labels), value)
+            else:
+                store.insert_assertion(draw(spelled_terms(namespace)), draw(labels), ref)
+        else:
+            store.insert_ground(draw(spelled_terms(namespace)), draw(labels), value)
+    if len(store):
+        for sid in draw(st.lists(st.sampled_from([s.sid for s in store.statements()]), max_size=3)):
+            if sid in store:
+                store.delete_statement(sid, DeletePolicy.CASCADE)
     return store

@@ -17,6 +17,7 @@ from og import (
     lpg_view,
     parse_lpg_jsonl,
     serialize_lpg_jsonl,
+    serialize_ognq,
 )
 from oracles import lpg_shape
 from strategies import stores
@@ -157,3 +158,23 @@ class TestRoundTrip:
             assume(False)
         again = lpg_view(parse_lpg_jsonl(text))
         assert lpg_shape(again) == lpg_shape(g)
+
+
+class TestAllOrNothing:
+    VERTEX = '{"type": "vertex", "id": "Carol", "labels": ["P"], "properties": {"age": 3}}\n'
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('{"type": "edge", "id": "e", "label": "k", "from": "Carol", "to": "Zed"}', UnknownEndpointError),
+            ('{"type": "vertex", "id": "Dan", "labels": "P"}', ParseError),
+            ('{"type": "vertex", "id": "Dan", "properties": {"p": {"value": {"x": 1}}}}', UnsupportedValueError),
+        ],
+    )
+    def test_refused_document_leaves_the_store_and_its_counter(self, toy_store, line, error):
+        before = serialize_ognq(toy_store)
+        issues_next = toy_store.copy().fresh_sid()
+        with pytest.raises(error):
+            parse_lpg_jsonl(self.VERTEX + line + "\n", toy_store)
+        assert serialize_ognq(toy_store) == before
+        assert toy_store.fresh_sid() == issues_next

@@ -1,5 +1,7 @@
 """Merging two stores: alignment, blank-node policies, edge identity."""
 
+import uuid
+
 import pytest
 from hypothesis import given, settings
 
@@ -259,3 +261,19 @@ class TestRulesFiles:
     def test_bad_template_in_rules(self):
         with pytest.raises(BadTemplateError):
             load_rules('{"id_mappings": [{"template": {"match": "x", "produce": "y"}}]}')
+
+
+class TestSeededIssuing:
+    def test_collapse_goes_on_issuing_where_the_plain_merge_does(self):
+        a = Store(seed=0)
+        a.insert_ground(LocalId("A"), LocalId("knows"), LocalId("B"))
+        a.insert_ground(LocalId("A"), LocalId("name"), Literal("a"))
+        b = Store(seed=10)
+        folded = b.insert_ground(LocalId("A"), LocalId("knows"), LocalId("B"))
+        plain, _ = merge(a, b)
+        collapsed, report = merge(a, b, MergeRules(edge_identity=EdgeIdentity.COLLAPSE_IDENTICAL_CONTENT))
+        assert report.edges_collapsed == 1 and folded not in collapsed
+        assert plain.fresh_sid() == collapsed.fresh_sid() == uuid.UUID(int=3)
+        issued = [collapsed.fresh_sid() for _ in range(9)]
+        # the folded statement's sid is never issued again
+        assert issued == [uuid.UUID(int=n) for n in range(4, 14) if n != 11]

@@ -1,5 +1,7 @@
 """Store behavior: insertion rules, integrity, deletion policies, lookup."""
 
+import uuid
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,7 @@ from og import (
     Store,
     XSD_INTEGER,
     referenced_sids,
+    serialize_ognq,
 )
 from oracles import cascade_closure
 from strategies import stores
@@ -240,3 +243,36 @@ class TestInvariantsUnderRandomStores:
         present = set(sids)
         for s in stmts:
             assert referenced_sids(s) <= present
+
+
+class TestBatchOrder:
+    def test_reverse_chain_of_4k_installs(self):
+        chain, prev = [], None
+        for i in range(1, 4001):
+            sid = uuid.UUID(int=i)
+            src = LocalId("root") if prev is None else SidRef(prev)
+            chain.append(Statement(src, LocalId("p"), Literal(str(i), XSD_INTEGER), sid))
+            prev = sid
+        store = seeded()
+        store.add_statements(reversed(chain))
+        assert store.statements() == chain
+        assert store.fresh_sid() == uuid.UUID(int=4001)
+
+    @pytest.mark.parametrize("kind", ["cyclic", "absent"])
+    def test_refused_batch_leaves_the_store_byte_identical(self, toy_store, kind):
+        x, y, z, ok = (uuid.UUID(int=n) for n in (100, 101, 102, 103))
+        first = SidRef(y) if kind == "cyclic" else SidRef(uuid.UUID(int=999))
+        batch = [
+            Statement(LocalId("ok"), LocalId("p"), LocalId("q"), ok),
+            Statement(SidRef(x), LocalId("on"), SidRef(z), y),
+            Statement(first, LocalId("p"), SidRef(ok), x),
+            Statement(LocalId("q"), LocalId("about"), SidRef(y), z),
+        ]
+        before = serialize_ognq(toy_store)
+        issues_next = toy_store.copy().fresh_sid()
+        with pytest.raises(DanglingSidError) as raised:
+            toy_store.add_statements(batch)
+        stuck = sorted(str(s) for s in (x, y, z))  # z waits on y, which waits on x
+        assert str(raised.value) == f"unresolvable references (absent or cyclic) from: {stuck}"
+        assert serialize_ognq(toy_store) == before
+        assert toy_store.fresh_sid() == issues_next

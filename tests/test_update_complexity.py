@@ -1,0 +1,112 @@
+"""One update touches only the statements it names.
+
+On a store of 200 statements, every update entry point and ``match`` by
+source run with ``Store.statements`` made to raise and the sid index made to
+refuse a walk, so an operation that falls back to a full scan fails here
+instead of only getting slower as the store grows.
+"""
+
+import pytest
+
+from og import (
+    AmbiguityPolicy,
+    AmbiguousTargetError,
+    DeletePolicy,
+    InsertSemantics,
+    Iri,
+    Literal,
+    LocalId,
+    SidRef,
+    StatementPattern,
+    Store,
+    XSD_INTEGER,
+    lpg_add_edge,
+    lpg_set_property,
+    rdf_delete_triple,
+    rdf_insert_triple,
+    star_annotate,
+)
+
+KNOWS, NAME = LocalId("knows"), LocalId("name")
+VERTICES = 40
+
+
+class _NoWalk(dict):
+    """A sid index that answers lookups but refuses to be walked."""
+
+    def _walk(self, *args):
+        raise AssertionError("walked every statement of the store")
+
+    __iter__ = keys = values = items = _walk
+
+
+@pytest.fixture
+def store(monkeypatch):
+    store = Store(seed=0)
+    for i in range(VERTICES):
+        v, w = LocalId(f"v{i}"), LocalId(f"v{(i + 1) % VERTICES}")
+        store.insert_ground(v, NAME, Literal(f"n{i}"))
+        store.insert_ground(v, LocalId("label"), Literal("Person"))
+        edge = store.insert_ground(v, KNOWS, w)
+        store.insert_assertion(SidRef(edge), LocalId("since"), Literal(str(2000 + i), XSD_INTEGER))
+        store.insert_ground(Iri(f"urn:og:local:v{i}"), LocalId("likes"), w)
+    assert len(store) == 5 * VERTICES
+
+    def refuse(self):
+        raise AssertionError("Store.statements called")
+
+    monkeypatch.setattr(Store, "statements", refuse)
+    store._by_sid = _NoWalk(store._by_sid)
+    return store
+
+
+@pytest.mark.parametrize("policy", list(AmbiguityPolicy))
+@pytest.mark.parametrize("delete", list(DeletePolicy))
+def test_delete_triple(store, policy, delete):
+    assert rdf_delete_triple(store, LocalId("v0"), LocalId("likes"), LocalId("v1"), policy, delete) == 1
+    assert rdf_delete_triple(store, Iri("urn:og:local:v3"), NAME, Literal("n3"), policy, delete) == 1
+    assert rdf_delete_triple(store, LocalId("v3"), NAME, Literal("n3"), policy, delete) == 0
+
+
+@pytest.mark.parametrize("semantics", list(InsertSemantics))
+def test_insert_triple(store, semantics):
+    assert (rdf_insert_triple(store, LocalId("v1"), KNOWS, LocalId("v2"), semantics) is None) == (
+        semantics is InsertSemantics.SET
+    )
+    assert rdf_insert_triple(store, LocalId("v1"), KNOWS, LocalId("v9"), semantics) is not None
+
+
+@pytest.mark.parametrize("policy", list(AmbiguityPolicy))
+def test_annotate(store, policy):
+    assert len(star_annotate(store, LocalId("v5"), KNOWS, LocalId("v6"), LocalId("ok"), Literal("y"), policy)) == 1
+    rdf_insert_triple(store, LocalId("v5"), KNOWS, LocalId("v6"), InsertSemantics.MULTI)
+    if policy is AmbiguityPolicy.ERROR_IF_MULTIPLE:
+        with pytest.raises(AmbiguousTargetError):
+            star_annotate(store, LocalId("v5"), KNOWS, LocalId("v6"), LocalId("ok"), Literal("y"), policy)
+    else:
+        assert len(star_annotate(store, LocalId("v5"), KNOWS, LocalId("v6"), LocalId("ok"), Literal("y"), policy)) == 2
+
+
+def test_add_edge(store):
+    # each vertex is also spelled as its IRI, which is the least term
+    sid = lpg_add_edge(store, "v1", "v7", "met", {"w": 1})
+    assert store.get(sid).content == (Iri("urn:og:local:v1"), LocalId("met"), Iri("urn:og:local:v7"))
+    sid = lpg_add_edge(store, "v1", "_:new", "met", auto_create=True)
+    assert store.get(sid).value.label == "new"
+
+
+def test_set_property(store):
+    sid = lpg_set_property(store, "v2", "name", "Vee")
+    assert store.get(sid).content == (Iri("urn:og:local:v2"), NAME, Literal("Vee"))
+    edge = store.match(StatementPattern(src=LocalId("v2"), label=KNOWS))[0].sid
+    for element in (edge, str(edge)):
+        sid = lpg_set_property(store, element, "since", 1999)
+        assert store.get(sid).content == (SidRef(edge), LocalId("since"), Literal("1999", XSD_INTEGER))
+
+
+def test_match_by_source(store):
+    assert len(store.match(StatementPattern(src=LocalId("v4")))) == 3
+    assert len(store.match(StatementPattern(src=Iri("urn:og:local:v4")))) == 1
+    edge = store.match(StatementPattern(src=LocalId("v4"), label=KNOWS))[0].sid
+    assert len(store.match(StatementPattern(src=SidRef(edge)))) == 1
+    assert store.match(StatementPattern(src=LocalId("nobody"))) == []
