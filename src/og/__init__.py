@@ -30,6 +30,7 @@ from .errors import (
     AmbiguousTargetError,
     BadTemplateError,
     DanglingSidError,
+    NamespaceError,
     NestingOverflowError,
     NotFoundError,
     OgError,

@@ -231,7 +231,7 @@ def cmd_mutate(args, namespace: str, prefixes: dict[str, str]) -> int:
     delete = DeletePolicy.CASCADE if args.delete == "cascade" else DeletePolicy.RESTRICT
     semantics = InsertSemantics.SET if args.insert == "set" else InsertSemantics.MULTI
 
-    before = {st.sid for st in store.statements()}
+    before = {st.sid for st in store}
     if args.delete_triple:
         s, p, o = map(term, args.delete_triple)
         rdf_delete_triple(store, s, p, o, ambiguity, delete, namespace)
@@ -258,7 +258,7 @@ def cmd_mutate(args, namespace: str, prefixes: dict[str, str]) -> int:
         if not isinstance(value, Literal):
             raise OgError(f"property values must be literals, got {raw!r}")
         lpg_set_property(store, element, key, value, _lpg_config(namespace, prefixes))
-    after = {st.sid for st in store.statements()}
+    after = {st.sid for st in store}
 
     _write_out(serialize_ognq(store), args.out)
     print(f"affected={len(before ^ after)}")
@@ -267,7 +267,7 @@ def cmd_mutate(args, namespace: str, prefixes: dict[str, str]) -> int:
 
 def cmd_stats(args, namespace: str, prefixes: dict[str, str]) -> int:
     store = _load_ognq(args.input, args.seed)
-    ground = sum(1 for st in store.statements() if is_ground(st))
+    ground = sum(1 for st in store if is_ground(st))
     g = lpg_view(store, _lpg_config(namespace, prefixes))
     print(f"statements={len(store)}")
     print(f"ground={ground}")

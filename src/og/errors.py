@@ -49,6 +49,10 @@ class NestingOverflowError(OgError):
     """Quoted-triple nesting exceeded the configured depth bound."""
 
 
+class NamespaceError(OgError, ValueError):
+    """A namespace does not turn a local identifier into an absolute IRI."""
+
+
 class ParseError(OgError):
     """Input text was rejected by a parser.
 

@@ -288,7 +288,7 @@ def install_new(store: Store, triples: list[tuple]) -> None:
 
 def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
     """Renames keeping a document's blank labels apart from the store's."""
-    existing = blank_labels(store.statements())
+    existing = blank_labels(store)
     return rename_apart(labels & existing, labels | existing)
 
 

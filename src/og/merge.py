@@ -138,7 +138,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     report = MergeReport(statements_in_a=len(a), statements_in_b=len(b))
     result = a.copy()
 
-    b_statements = b.statements()
+    b_statements = list(b)
     copies: set[Sid] = set()
     for st in b_statements:
         existing = result.get(st.sid)
@@ -149,7 +149,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
         preserved = blank_labels(st for st in b_statements if st.sid in copies)
         b_labels = blank_labels(b_statements)
-        blank_map = rename_apart(b_labels - preserved, blank_labels(a.statements()) | b_labels)
+        blank_map = rename_apart(b_labels - preserved, blank_labels(a) | b_labels)
 
     aligned: set[Term] = set()
 
@@ -192,11 +192,14 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
 
 
 def _content_groups(store: Store) -> list[list[Sid]]:
+    """Content-identical ground statements, each group in sid order, the
+    groups by their least sid (collapsing one group can change another's
+    annotations, so the order is part of the result)."""
     groups: dict[tuple, list[Sid]] = {}
-    for st in store.statements():
+    for st in store:
         if is_ground(st):
             groups.setdefault(st.content, []).append(st.sid)
-    return [sorted(g) for g in groups.values() if len(g) > 1]
+    return sorted(sorted(g) for g in groups.values() if len(g) > 1)
 
 
 def _collapse_identical_content(store: Store) -> tuple[Store, int]:
@@ -222,7 +225,7 @@ def _collapse_identical_content(store: Store) -> tuple[Store, int]:
         rebuilt._sids.reserve(loser)
     rebuilt.add_statements(
         Statement(redirect(st.src), st.label, redirect(st.value), st.sid)
-        for st in store.statements()
+        for st in store
         if st.sid not in sid_map
     )
     return rebuilt, len(sid_map)

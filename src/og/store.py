@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 from urllib.parse import unquote
 
@@ -45,7 +46,11 @@ class DeletePolicy(Enum):
 
 class Store:
     """Mutable statement store with sid, content, source, node and
-    reverse-reference indexes."""
+    reverse-reference indexes.
+
+    Iteration yields each statement after the statements it references,
+    which is not in general sid order; :meth:`statements` lists in sid order.
+    """
 
     def __init__(self, seed: int | None = None):
         self._by_sid: dict[Sid, Statement] = {}
@@ -71,7 +76,9 @@ class Store:
         return sid in self._by_sid
 
     def __iter__(self) -> Iterator[Statement]:
-        return iter(self.statements())
+        """Each statement after the statements it references; the store must
+        not change while the iterator is in use."""
+        return iter(self._by_sid.values())
 
     def statements(self) -> list[Statement]:
         """All statements in sid order."""
@@ -92,7 +99,7 @@ class Store:
         """A content-equal store that goes on issuing sids where this one is."""
         out = Store()
         out._sids = copy.copy(self._sids)
-        out.add_statements(self._by_sid.values())
+        out.add_statements(self)
         return out
 
     # --- insertion ------------------------------------------------------
@@ -269,7 +276,7 @@ class Store:
         elif pattern.src is not None:
             sids = _members(self._by_src, pattern.src)
         else:
-            return [st for st in self.statements() if pattern.matches(st)]
+            return sorted((st for st in self if pattern.matches(st)), key=attrgetter("sid"))
         found = (self._by_sid[s] for s in sorted(sids))
         return [st for st in found if pattern.matches(st)]
 
@@ -309,7 +316,7 @@ class Store:
         """Distinct graph names occurring in membership statements, sorted."""
         graphs = {
             st.value
-            for st in self._by_sid.values()
+            for st in self
             if st.label == IN_GRAPH and isinstance(st.value, (Iri, LocalId))
         }
         return sorted(graphs, key=term_key)

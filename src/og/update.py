@@ -34,7 +34,7 @@ from .views import (
     LpgViewConfig,
     _display,
     _expose,
-    _is_text,
+    _lpg_reading,
     expose_local_as_iri,
     local_from_iri,
 )
@@ -201,17 +201,6 @@ def _vertex_term_for_new(vertex_id: str) -> Term:
     return LocalId(vertex_id)
 
 
-def _is_edge(store: Store, sid: Sid, cfg: LpgViewConfig) -> bool:
-    st = store.get(sid)
-    return (
-        st is not None
-        and is_ground(st)
-        and st.label != IN_GRAPH
-        and st.label not in cfg.label_predicates
-        and not isinstance(st.value, Literal)
-    )
-
-
 def lpg_add_edge(
     store: Store,
     source: str,
@@ -230,7 +219,9 @@ def lpg_add_edge(
     cfg = config or LpgViewConfig()
     ends = []
     for vid in (source, target):
-        terms = _vertex_terms(store, vid, cfg) if isinstance(vid, str) else []
+        if not isinstance(vid, str):
+            raise UnknownEndpointError(f"no vertex with id {vid!r}")
+        terms = _vertex_terms(store, vid, cfg)
         if terms:
             ends.append(terms[0])
         elif auto_create:
@@ -269,10 +260,7 @@ def lpg_set_property(
             old = [
                 st
                 for st in sites
-                if is_ground(st)
-                and isinstance(st.value, Literal)
-                and not (st.label in cfg.label_predicates and _is_text(st.value))
-                and _display(st.label, cfg) == key
+                if _lpg_reading(st, cfg) == "property" and _display(st.label, cfg) == key
             ]
             pred = old[0].label if old else LocalId(key)
             for st in old:
@@ -283,13 +271,16 @@ def lpg_set_property(
         except ValueError:
             raise NotFoundError(f"no vertex or edge with id {element!r}") from None
 
-    if not _is_edge(store, element, cfg):
+    edge = store.get(element)
+    if edge is None or _lpg_reading(edge, cfg) != "edge":
         raise NotFoundError(f"no edge with sid {element}")
     ref = SidRef(element)
     old = [
         st
         for st in store.match(StatementPattern(src=ref))
-        if isinstance(st.value, Literal) and _display(st.label, cfg) == key
+        if _lpg_reading(st, cfg) == "assertion"
+        and isinstance(st.value, Literal)
+        and _display(st.label, cfg) == key
     ]
     pred = old[0].label if old else LocalId(key)
     for st in old:

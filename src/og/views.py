@@ -12,13 +12,14 @@ any assertion whose reference closure touches one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
 from urllib.parse import quote, unquote
 
 from .datatypes import RDF_LANG_STRING, XSD_STRING, CoercionTally, Literal, coerce_to_lpg
-from .errors import NestingOverflowError
+from .errors import NamespaceError, NestingOverflowError
 from .statements import Statement, Term, is_ground, referenced_sids, term_key
 from .store import IN_GRAPH, Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_iri
@@ -41,8 +42,14 @@ RDF_OBJECT = Iri(RDF_NS + "object")
 
 
 def expose_local_as_iri(local: LocalId, namespace: str = DEFAULT_LOCAL_NS) -> Iri:
-    """Render a local identifier as an IRI (percent-encoded, injective)."""
-    return Iri(namespace + quote(local.text, safe=""))
+    """Render a local identifier as an IRI (percent-encoded, injective).
+
+    Raises NamespaceError when ``namespace`` does not make an absolute IRI.
+    """
+    try:
+        return Iri(namespace + quote(local.text, safe=""))
+    except ValueError:
+        raise NamespaceError(f"namespace {namespace!r} makes no absolute IRI of {local.text!r}") from None
 
 
 def local_from_iri(iri: Iri, namespace: str = DEFAULT_LOCAL_NS) -> LocalId | None:
@@ -75,6 +82,10 @@ def _expose(term: Term, namespace: str) -> Term:
     return term
 
 
+def _exposed_triple(st: Statement, namespace: str) -> tuple:
+    return (_expose(st.src, namespace), _expose(st.label, namespace), _expose(st.value, namespace))
+
+
 # --- shared statement analysis -------------------------------------------
 
 
@@ -83,28 +94,16 @@ def _analyze(store: Store) -> tuple[set[Sid], dict[Sid, int]]:
 
     A statement is visible unless it is a membership statement or references
     (transitively) one. Depth is 0 for ground statements, else one more than
-    the deepest referenced statement. Iterative so reference chains of any
-    length cannot overflow the interpreter stack.
+    the deepest referenced statement. One forward pass: the store yields
+    each statement after the statements it references.
     """
     visible: set[Sid] = set()
     depth: dict[Sid, int] = {}
-    for origin in store.statements():
-        stack = [origin.sid]
-        while stack:
-            sid = stack[-1]
-            if sid in depth:
-                stack.pop()
-                continue
-            st = store.get(sid)
-            refs = referenced_sids(st)
-            todo = [r for r in refs if r not in depth]
-            if todo:
-                stack.extend(todo)
-                continue
-            depth[sid] = 1 + max(depth[r] for r in refs) if refs else 0
-            if st.label != IN_GRAPH and all(r in visible for r in refs):
-                visible.add(sid)
-            stack.pop()
+    for st in store:
+        refs = referenced_sids(st)
+        depth[st.sid] = 1 + max(depth[r] for r in refs) if refs else 0
+        if st.label != IN_GRAPH and refs <= visible:
+            visible.add(st.sid)
     return visible, depth
 
 
@@ -143,37 +142,31 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
     """
     visible, _ = _analyze(store)
     triples: set[tuple] = set()
-    for st in store.statements():
-        if st.sid in visible and is_ground(st):
-            triples.add((
-                _expose(st.src, namespace),
-                _expose(st.label, namespace),
-                _expose(st.value, namespace),
-            ))
-    if mode is RdfMode.HIDE:
-        return RdfGraph(frozenset(triples))
-
     reified: set[Sid] = set()
-    for st in store.statements():
-        if st.sid not in visible or is_ground(st):
+
+    def part(t: Term) -> Term:
+        # a sid reference renders as its sid IRI; a ground target gets its
+        # reification triples the first time
+        if not isinstance(t, SidRef):
+            return _expose(t, namespace)
+        iri = sid_iri(t.sid)
+        target = store.get(t.sid)
+        if t.sid not in reified and is_ground(target):
+            reified.add(t.sid)
+            s, p, o = _exposed_triple(target, namespace)
+            triples.add((iri, RDF_TYPE, RDF_STATEMENT))
+            triples.add((iri, RDF_SUBJECT, s))
+            triples.add((iri, RDF_PREDICATE, p))
+            triples.add((iri, RDF_OBJECT, o))
+        return iri
+
+    for st in store:
+        if st.sid not in visible:
             continue
-        for r in referenced_sids(st):
-            target = store.get(r)
-            if is_ground(target):
-                reified.add(r)
-    for r in reified:
-        node = sid_iri(r)
-        target = store.get(r)
-        triples.add((node, RDF_TYPE, RDF_STATEMENT))
-        triples.add((node, RDF_SUBJECT, _expose(target.src, namespace)))
-        triples.add((node, RDF_PREDICATE, _expose(target.label, namespace)))
-        triples.add((node, RDF_OBJECT, _expose(target.value, namespace)))
-    for st in store.statements():
-        if st.sid not in visible or is_ground(st):
-            continue
-        s = sid_iri(st.src.sid) if isinstance(st.src, SidRef) else _expose(st.src, namespace)
-        o = sid_iri(st.value.sid) if isinstance(st.value, SidRef) else _expose(st.value, namespace)
-        triples.add((s, _expose(st.label, namespace), o))
+        if is_ground(st):
+            triples.add(_exposed_triple(st, namespace))
+        elif mode is RdfMode.REIFY:
+            triples.add((part(st.src), _expose(st.label, namespace), part(st.value)))
     return RdfGraph(frozenset(triples))
 
 
@@ -190,19 +183,8 @@ class QuotedTriple:
 
 
 @dataclass(frozen=True)
-class RdfStarGraph:
+class RdfStarGraph(RdfGraph):
     """A set of asserted triples whose subjects/objects may quote triples."""
-
-    triples: frozenset[tuple]
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.sorted())
-
-    def sorted(self) -> list[tuple]:
-        return sorted(self.triples, key=triple_key)
 
 
 def _part_key(t) -> tuple:
@@ -223,35 +205,30 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     become triples whose sid references are replaced by the quoted triple of
     the referenced statement's content. The dimensional reduction is real:
     multi-edges become one triple and their annotations pool together.
-    Raises NestingOverflowError when quoting nests deeper than ``max_depth``.
+    Raises NestingOverflowError when quoting nests deeper than ``max_depth``
+    or than a quarter of ``sys.getrecursionlimit()`` (250 at the default
+    limit), whichever is less: hashing, ordering and serializing a quoted
+    triple take Python frames per level of nesting.
     """
+    bound = min(max_depth, sys.getrecursionlimit() // 4)
     visible, depth = _analyze(store)
-    too_deep = [s for s in visible if depth[s] > max_depth]
+    too_deep = [s for s in visible if depth[s] > bound]
     if too_deep:
         raise NestingOverflowError(
-            f"quoted-triple nesting exceeds {max_depth} (e.g. statement {min(too_deep)})"
+            f"quoted-triple nesting exceeds {bound} (e.g. statement {min(too_deep)})"
         )
 
     rendered: dict[Sid, tuple] = {}
 
-    def render(st: Statement) -> tuple:
-        if st.sid in rendered:
-            return rendered[st.sid]
+    def part(t: Term):
+        if isinstance(t, SidRef):
+            return QuotedTriple(*rendered[t.sid])
+        return _expose(t, namespace)
 
-        def part(t: Term):
-            if isinstance(t, SidRef):
-                return QuotedTriple(*render(store.get(t.sid)))
-            return _expose(t, namespace)
-
-        triple = (part(st.src), _expose(st.label, namespace), part(st.value))
-        rendered[st.sid] = triple
-        return triple
-
-    triples = set()
-    for st in store.statements():
+    for st in store:
         if st.sid in visible:
-            triples.add(render(st))
-    return RdfStarGraph(frozenset(triples))
+            rendered[st.sid] = (part(st.src), _expose(st.label, namespace), part(st.value))
+    return RdfStarGraph(frozenset(rendered.values()))
 
 
 # --- labeled property graph ----------------------------------------------
@@ -329,8 +306,19 @@ def _display(term: Term, cfg: LpgViewConfig) -> str:
     raise TypeError(f"no property-graph rendering for {term!r}")
 
 
-def _is_text(value: Term) -> bool:
-    return isinstance(value, Literal) and value.datatype in (XSD_STRING, RDF_LANG_STRING)
+def _lpg_reading(st: Statement, cfg: LpgViewConfig) -> str | None:
+    """How the property-graph view reads a statement: ``"label"``,
+    ``"property"`` or ``"edge"`` for a ground statement, ``"assertion"`` for
+    one that references statements, and None for graph membership, which
+    it drops."""
+    if st.label == IN_GRAPH:
+        return None
+    if not is_ground(st):
+        return "assertion"
+    if isinstance(st.value, Literal):
+        text = st.value.datatype in (XSD_STRING, RDF_LANG_STRING)
+        return "label" if text and st.label in cfg.label_predicates else "property"
+    return "label" if st.label in cfg.label_predicates else "edge"
 
 
 def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
@@ -354,14 +342,15 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
 
     assertions: list[Statement] = []
     for st in store.statements():
-        if st.label == IN_GRAPH:
+        reading = _lpg_reading(st, cfg)
+        if reading is None:
             g.dropped += 1
             continue
-        if not is_ground(st):
+        if reading == "assertion":
             assertions.append(st)
             continue
         v = vertex(st.src)
-        if st.label in cfg.label_predicates and (not isinstance(st.value, Literal) or _is_text(st.value)):
+        if reading == "label":
             if isinstance(st.value, Literal):
                 label = coerce_to_lpg(st.value, g.coercion)
             else:
@@ -369,7 +358,7 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
                 vertex(st.value)
             if label not in v.labels:
                 v.labels.append(label)
-        elif isinstance(st.value, Literal):
+        elif reading == "property":
             site = VertexProperty(coerce_to_lpg(st.value, g.coercion))
             v.properties.setdefault(_display(st.label, cfg), []).append(site)
             prop_site[st.sid] = site
@@ -434,7 +423,7 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     ignored outright.
     """
     memberships: dict[Sid, set[Term]] = {}
-    for st in store.statements():
+    for st in store:
         if st.label != IN_GRAPH or not isinstance(st.src, SidRef):
             continue
         if not isinstance(st.value, (Iri, LocalId)):
@@ -446,14 +435,10 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
 
     default: set[tuple] = set()
     named: dict[Term, set[tuple]] = {}
-    for st in store.statements():
+    for st in store:
         if not is_ground(st) or st.label == IN_GRAPH:
             continue
-        triple = (
-            _expose(st.src, namespace),
-            _expose(st.label, namespace),
-            _expose(st.value, namespace),
-        )
+        triple = _exposed_triple(st, namespace)
         graphs = memberships.get(st.sid)
         if graphs:
             for gname in graphs:
