@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .formats import (
     serialize_ognq,
     serialize_turtle_star,
 )
-from .formats.common import bare_literal, render_term
+from .formats.common import PN_PREFIX, bare_literal, render_term
 from .merge import MergeRules, load_rules, merge
 from .statements import Term, is_ground
 from .store import DeletePolicy, Store
@@ -67,9 +66,6 @@ _PARSERS = {
     "lpgjsonl": parse_lpg_jsonl,
 }
 
-_PNAME = re.compile(r"^([A-Za-z_][A-Za-z0-9_.\-]*):(.*)$")
-
-
 def parse_cli_term(token: str, prefixes: dict[str, str]) -> Term:
     """One mutate-argument term; see the module docstring for the syntax."""
     token = token.strip()
@@ -83,9 +79,10 @@ def parse_cli_term(token: str, prefixes: dict[str, str]) -> Term:
     try:
         if token.startswith(":"):
             return LocalId(token[1:])
-        m = _PNAME.match(token)
-        if m and m.group(1) in prefixes:
-            return Iri(prefixes[m.group(1)] + m.group(2))
+        label, colon, local = token.partition(":")
+        # a prefix label, then any local part on one line
+        if colon and PN_PREFIX.fullmatch(label) and label in prefixes and "\n" not in local:
+            return Iri(prefixes[label] + local)
     except ValueError as e:
         raise ParseError(str(e)) from None
     raise ParseError(f"cannot read term {token!r}")

@@ -36,7 +36,8 @@ RDF_LANG_STRING = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#langString")
 #: Reserved datatype IRI of the flat list literal.
 OG_LIST = Iri("urn:og:List")
 
-_LANG_TAG = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
+#: A language tag (Turtle's LANGTAG without the ``@``); unanchored.
+LANG_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 _INTEGER = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
 _DOUBLE = re.compile(r"^([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN)$")
@@ -66,7 +67,7 @@ class Literal:
         if self.language is not None:
             if self.datatype != RDF_LANG_STRING:
                 raise ValueError("language tag requires the rdf:langString datatype")
-            if not _LANG_TAG.match(self.language):
+            if not LANG_TAG.fullmatch(self.language):
                 raise ValueError(f"bad language tag: {self.language!r}")
         elif self.datatype == RDF_LANG_STRING:
             raise ValueError("rdf:langString requires a language tag")
@@ -144,6 +145,8 @@ Scalar = str | int | bool | Decimal
 
 _LIST_WS = " \t\r\n"
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE = {c: "\\" + e for e, c in _ESCAPES.items()}
+_TEXT_UNSAFE = re.compile("[" + re.escape("".join(_ESCAPE)) + "]")
 _NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
 
 
@@ -234,22 +237,7 @@ def _canon_decimal(d: Decimal) -> str:
 
 
 def _canon_text(s: str) -> str:
-    out = ['"']
-    for c in s:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    return '"' + _TEXT_UNSAFE.sub(lambda m: _ESCAPE[m.group()], s) + '"'
 
 
 def _canon_element(e: Scalar) -> str:

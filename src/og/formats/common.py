@@ -1,11 +1,11 @@
 """Shared term lexing and rendering for the text formats.
 
 Both line formats use the same term tokens: ``<iri>``, ``_:label``, quoted
-literals with ``@lang`` or ``^^<datatype>`` suffixes, plus two extensions
-gated by flags: ``local:"text"`` for local identifiers and ``urn:og:sid:``
-IRIs read back as sid references. Turtle-star reads its IRIs and strings
-with the same scanners, and shares the bare-literal rule and the renaming
-of blank labels apart from a store's.
+literals with ``@lang`` or ``^^<datatype>`` suffixes. The OG-NQ dialect adds
+two: ``local:"text"`` for local identifiers and ``urn:og:sid:`` IRIs read
+back as sid references. Turtle-star reads its IRIs, strings and blank nodes
+with the same scanners, and shares the bare-literal rule, the prefix-label
+rule and the renaming of blank labels apart from a store's.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 
 from ..datatypes import (
+    LANG_TAG,
     RDF_LANG_STRING,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -25,6 +26,7 @@ from ..errors import ParseError
 from ..statements import Statement, Term, blank_labels, rename_apart
 from ..store import Store
 from ..terms import (
+    NAME,
     SID_IRI_PREFIX,
     BlankNode,
     Iri,
@@ -36,8 +38,12 @@ from ..terms import (
 
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
-_LANG = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 _LOCAL_MARK = 'local:"'
+_HEX = re.compile(r"[0-9A-Fa-f]+")
+
+#: The label of a prefixed name: Turtle's PN_PREFIX cut down to ASCII, which
+#: may also start with ``_`` (a lone ``_`` marks a blank node) or end in ``.``.
+PN_PREFIX = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+")
 
 #: Turtle's INTEGER, DECIMAL, DOUBLE and boolean shorthand, one group each.
 BARE_LITERAL = re.compile(
@@ -91,7 +97,7 @@ def _scan_uchar(cur: Cursor) -> str:
     width = 4 if kind == "u" else 8
     start = cur.pos + 1
     hexpart = cur.text[start:start + width]
-    if len(hexpart) != width or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
+    if len(hexpart) != width or not _HEX.fullmatch(hexpart) or int(hexpart, 16) > 0x10FFFF:
         cur.fail(f"bad \\{kind} escape")
     cur.pos = start + width
     return chr(int(hexpart, 16))
@@ -148,24 +154,21 @@ def scan_string_body(cur: Cursor) -> str:
 
 
 def scan_blank(cur: Cursor) -> BlankNode:
+    """``_:`` and the longest label the name rule allows (so a trailing dot
+    is left for the statement terminator)."""
     cur.expect("_:")
-    start = cur.pos
-    while not cur.at_end() and (cur.text[cur.pos].isalnum() or cur.text[cur.pos] in "_.-"):
-        cur.pos += 1
-    while cur.pos > start and cur.text[cur.pos - 1] == ".":
-        cur.pos -= 1  # trailing dots belong to the line terminator
-    label = cur.text[start:cur.pos]
-    try:
-        return BlankNode(label)
-    except ValueError as e:
-        cur.fail(str(e))
+    m = NAME.match(cur.text, cur.pos)
+    if not m:
+        cur.fail("bad blank node label")
+    cur.pos = m.end()
+    return BlankNode(m.group())
 
 
 def scan_literal(cur: Cursor) -> Literal:
     lexical = scan_string_body(cur)
     if cur.peek() == "@":
         cur.pos += 1
-        m = _LANG.match(cur.text, cur.pos)
+        m = LANG_TAG.match(cur.text, cur.pos)
         if not m:
             cur.fail("bad language tag")
         cur.pos = m.end()
@@ -180,14 +183,14 @@ def scan_literal(cur: Cursor) -> Literal:
     return Literal(lexical, XSD_STRING)
 
 
-def scan_term(cur: Cursor, *, allow_local: bool = False, sid_refs: bool = False) -> Term:
-    """One term token at the cursor."""
+def scan_term(cur: Cursor, *, ognq: bool = False) -> Term:
+    """One term token at the cursor; ``ognq`` reads the OG-NQ dialect."""
     c = cur.peek()
     if c == "<":
         start_col = cur.pos + 1
         text = scan_iri_text(cur)
         if text.startswith(SID_IRI_PREFIX):
-            if not sid_refs:
+            if not ognq:
                 raise ParseError("the urn:og:sid: namespace is reserved",
                                  line=cur.line, column=start_col)
             try:
@@ -202,13 +205,8 @@ def scan_term(cur: Cursor, *, allow_local: bool = False, sid_refs: bool = False)
     if c == "_":
         return scan_blank(cur)
     if c == '"':
-        try:
-            return scan_literal(cur)
-        except ParseError:
-            raise
-        except ValueError as e:
-            cur.fail(str(e))
-    if allow_local and cur.text.startswith(_LOCAL_MARK, cur.pos):
+        return scan_literal(cur)
+    if ognq and cur.text.startswith(_LOCAL_MARK, cur.pos):
         cur.pos += len(_LOCAL_MARK) - 1
         try:
             return LocalId(scan_string_body(cur))
@@ -246,20 +244,20 @@ def escape_iri(s: str) -> str:
     return _IRI_UNSAFE.sub(_uchar, s)
 
 
-def render_term(t: Term, *, allow_local: bool = False, sid_refs: bool = False) -> str:
-    """Canonical token for a term; raises ValueError on unrepresentable ones."""
+def render_term(t: Term, *, ognq: bool = False) -> str:
+    """Canonical token for a term (OG-NQ's when ``ognq``); ValueError if it has none."""
     if isinstance(t, Iri):
-        if sid_refs and t.text.startswith(SID_IRI_PREFIX):
+        if ognq and t.text.startswith(SID_IRI_PREFIX):
             raise ValueError(f"the {SID_IRI_PREFIX} namespace is reserved for sid references")
         return f"<{escape_iri(t.text)}>"
     if isinstance(t, SidRef):
-        if not sid_refs:
+        if not ognq:
             raise ValueError("sid references are not representable in this format")
         return f"<{sid_iri(t.sid).text}>"
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
     if isinstance(t, LocalId):
-        if not allow_local:
+        if not ognq:
             raise ValueError("local identifiers are not representable in this format")
         return f'local:"{escape_string(t.text)}"'
     if isinstance(t, Literal):

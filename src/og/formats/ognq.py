@@ -37,14 +37,11 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     seen: set[Sid] = set()
     for lineno, line in split_lines(text):
         cur = Cursor(line, lineno)
-        cur.skip_ws()
-        src = scan_term(cur, allow_local=True, sid_refs=True)
-        cur.skip_ws()
-        label = scan_term(cur, allow_local=True, sid_refs=True)
-        cur.skip_ws()
-        value = scan_term(cur, allow_local=True, sid_refs=True)
-        cur.skip_ws()
-        fourth = scan_term(cur, allow_local=True, sid_refs=True)
+        terms = []
+        for _ in range(4):
+            cur.skip_ws()
+            terms.append(scan_term(cur, ognq=True))
+        src, label, value, fourth = terms
         end_of_statement(cur)
         if not isinstance(fourth, SidRef):
             raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
@@ -61,12 +58,8 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
 
 
 def render_statement(st: Statement) -> str:
-    parts = [
-        render_term(st.src, allow_local=True, sid_refs=True),
-        render_term(st.label, allow_local=True, sid_refs=True),
-        render_term(st.value, allow_local=True, sid_refs=True),
-        f"<{sid_iri(st.sid).text}>",
-    ]
+    parts = [render_term(t, ognq=True) for t in st.content]
+    parts.append(f"<{sid_iri(st.sid).text}>")
     return " ".join(parts) + " ."
 
 
@@ -78,7 +71,7 @@ def serialize_ognq(store: Store) -> str:
 def parse_term_text(token: str) -> Term:
     """A single term in OG-NQ token syntax (used by rules files and the CLI)."""
     cur = Cursor(token.strip(), 1)
-    term = scan_term(cur, allow_local=True, sid_refs=True)
+    term = scan_term(cur, ognq=True)
     if not cur.at_end():
         raise ParseError(f"trailing content after term: {token!r}")
     return term

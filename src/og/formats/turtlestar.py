@@ -16,33 +16,30 @@ from __future__ import annotations
 
 import re
 
-from ..datatypes import RDF_LANG_STRING, XSD_STRING, Literal
+from ..datatypes import LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
-from ..terms import BlankNode, Iri, LocalId, SidRef
-from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph
+from ..terms import NAME, BlankNode, Iri, LocalId, SidRef
+from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph, shorten_iri
 from .common import (
     BARE_LITERAL,
+    PN_PREFIX,
     Cursor,
     bare_literal,
     escape_iri,
     escape_string,
     install_new,
+    render_term,
+    scan_blank,
     scan_iri_text,
     scan_string_body,
     store_renames,
 )
 
-_PNAME = re.compile(
-    r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:"
-    r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?)?"
-)
-_BLANK = re.compile(r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?")
-_LANGTAG = re.compile(r"@[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
+_PNAME = re.compile(f"(?:{PN_PREFIX.pattern})?:(?:{NAME.pattern})?")
 _WORD = re.compile(r"[A-Za-z]+")
 _SPACE = re.compile(r"[ \t\r]*")
-_PN_LOCAL_OK = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?)?$")
 
 
 class _Token:
@@ -75,21 +72,22 @@ def _tokenize(text: str) -> list[_Token]:
                 kind, value = "string", scan_string_body(cur)
                 end = cur.pos
             elif c == "@":
-                if line.startswith("@prefix", pos):
+                m = LANG_TAG.match(line, pos + 1)
+                # after a string, "@prefix" and "@base" start language tags
+                directive = line.startswith(("@prefix", "@base"), pos)
+                if m and (not directive or tokens and tokens[-1].kind == "string"):
+                    kind, value, end = "lang", m.group(0), m.end()
+                elif line.startswith("@prefix", pos):
                     kind, end = "@prefix", pos + len("@prefix")
-                elif line.startswith("@base", pos):
+                elif directive:
                     cur.fail("base declarations are not supported; use absolute IRIs")
-                elif m := _LANGTAG.match(line, pos):
-                    kind, value, end = "lang", m.group(0)[1:], m.end()
                 else:
                     cur.fail("bad language tag or directive")
             elif line.startswith("^^", pos):
                 kind, end = "^^", pos + 2
             elif line.startswith("_:", pos):
-                m = _BLANK.match(line, pos)
-                if not m:
-                    cur.fail("bad blank node label")
-                kind, value, end = "blank", m.group(0)[2:], m.end()
+                kind, value = "blank", scan_blank(cur).label
+                end = cur.pos
             elif c in "+-.0123456789" and (m := BARE_LITERAL.match(line, pos)):
                 kind, value, end = "number", m.group(0), m.end()
             elif c in "+-" and line.startswith(".", pos + 1):
@@ -290,23 +288,17 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
 def _render_literal(lit: Literal, prefixes: dict[str, str]) -> str:
     if bare_literal(lit.lexical) == lit:
         return lit.lexical
-    if lit.language is not None:
-        return f'"{escape_string(lit.lexical)}"@{lit.language}'
-    if lit.datatype == XSD_STRING:
-        return f'"{escape_string(lit.lexical)}"'
-    return f'"{escape_string(lit.lexical)}"^^{_render_iri(lit.datatype, prefixes)}'
+    if lit.language is None and lit.datatype != XSD_STRING:
+        return f'"{escape_string(lit.lexical)}"^^{_render_iri(lit.datatype, prefixes)}'
+    return render_term(lit)
 
 
 def _render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
-    best = None
-    for label, base in prefixes.items():
-        if iri.text.startswith(base) and _PN_LOCAL_OK.match(iri.text[len(base):]):
-            cand = (len(base), label)
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and label < best[1]):
-                best = cand
-    if best is not None:
-        return f"{best[1]}:{iri.text[best[0]:]}"
-    return f"<{escape_iri(iri.text)}>"
+    text = iri.text
+    # a prefixed name's local part is empty or fits the name rule
+    fits = {label: base for label, base in prefixes.items()
+            if text.startswith(base) and (text == base or NAME.fullmatch(text, len(base)))}
+    return shorten_iri(iri, fits) if fits else f"<{escape_iri(text)}>"
 
 
 def _render_node(t, prefixes: dict[str, str]) -> str:
@@ -327,8 +319,9 @@ def _render_node(t, prefixes: dict[str, str]) -> str:
 
 
 def serialize_turtle_star(graph: RdfStarGraph, prefixes: dict[str, str] | None = None) -> str:
-    """Sorted, deterministic text for an RDF-star view."""
-    prefixes = dict(prefixes or {})
+    """Sorted, deterministic text for an RDF-star view, under the prefixes Turtle can read."""
+    prefixes = {label: iri for label, iri in (prefixes or {}).items()
+                if not label or PN_PREFIX.fullmatch(label)}
     lines = [f"@prefix {label}: <{escape_iri(iri)}> ." for label, iri in sorted(prefixes.items())]
     if lines:
         lines.append("")

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Union
 
 from .errors import BadTemplateError, ParseError, SidCollisionError
-from .statements import Statement, Term, blank_labels, is_ground, rename_apart, term_key
+from .statements import Statement, Term, blank_labels, is_ground, referenced_sids, rename_apart, term_key
 from .store import Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef
 
@@ -231,37 +231,61 @@ def _collapse_identical_content(store: Store) -> tuple[Store, int]:
     return rebuilt, len(sid_map)
 
 
-def _annotation_signature(store: Store, sid: Sid, _memo: dict | None = None) -> tuple:
-    """Sid-abstracted canonical form of everything asserted about a statement.
+def _filled(memo: dict, key, needs, make):
+    """``memo[key]``, computing first what it needs with an explicit stack."""
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+        elif missing := [k for k in needs(top) if k not in memo]:
+            stack.extend(missing)
+        else:
+            memo[top] = make(stack.pop())
+    return memo[key]
+
+
+class _AnnotationSignatures:
+    """Sid-abstracted canonical forms of annotation trees, interned to ints.
 
     Two ground statements get equal signatures exactly when their annotation
     trees are isomorphic up to sid renaming (order-insensitive at each level).
+    No signature nests, and no chain depth costs interpreter frames. Content
+    signatures hold while their statement lives; node signatures depend on
+    the referrers, so ``nodes`` is cleared after a delete.
     """
-    memo = _memo if _memo is not None else {}
 
-    def content_sig(s: Sid) -> tuple:
-        st = store.get(s)
-        return (tsig(st.src, s), ("t",) + term_key(st.label), tsig(st.value, s))
+    def __init__(self, store: Store):
+        self.store = store
+        self.ids: dict[tuple, int] = {}
+        self.contents: dict[Sid, int] = {}
+        self.nodes: dict[Sid, int] = {}
 
-    def tsig(t: Term, here: Sid) -> tuple:
+    def _id(self, form: tuple) -> int:
+        return self.ids.setdefault(form, len(self.ids))
+
+    def _term(self, t: Term) -> int:
         if isinstance(t, SidRef):
-            return ("ref", content_sig(t.sid))
-        return ("t",) + term_key(t)
+            return self._id(("ref", _filled(self.contents, t.sid, self._references, self._content)))
+        return self._id(("t",) + term_key(t))
 
-    def node_sig(s: Sid) -> tuple:
-        if s in memo:
-            return memo[s]
-        entries = []
-        for r in sorted(store.referrers(s)):
-            st = store.get(r)
-            src_part = ("@",) if st.src == SidRef(s) else tsig(st.src, s)
-            val_part = ("@",) if st.value == SidRef(s) else tsig(st.value, s)
-            entries.append((src_part, ("t",) + term_key(st.label), val_part, node_sig(r)))
-        sig = tuple(sorted(entries))
-        memo[s] = sig
-        return sig
+    def _references(self, sid: Sid) -> set[Sid]:
+        return referenced_sids(self.store.get(sid))
 
-    return node_sig(sid)
+    def _content(self, sid: Sid) -> int:
+        st = self.store.get(sid)
+        return self._id((self._term(st.src), self._term(st.label), self._term(st.value)))
+
+    def _node(self, sid: Sid) -> int:
+        here, at = SidRef(sid), self._id(("@",))
+        return self._id(tuple(sorted(
+            (at if st.src == here else self._term(st.src), self._term(st.label),
+             at if st.value == here else self._term(st.value), self.nodes[st.sid])
+            for st in map(self.store.get, self.store.referrers(sid))
+        )))
+
+    def node(self, sid: Sid) -> int:
+        return _filled(self.nodes, sid, self.store.referrers, self._node)
 
 
 def _collapse_with_properties(store: Store) -> int:
@@ -272,14 +296,13 @@ def _collapse_with_properties(store: Store) -> int:
     loser.
     """
     collapsed = 0
-    memo: dict = {}
+    signatures = _AnnotationSignatures(store)
     for group in _content_groups(store):
-        sigs = {_annotation_signature(store, s, memo) for s in group}
-        if len(sigs) != 1:
+        if len({signatures.node(s) for s in group}) != 1:
             continue
         for loser in group[1:]:
             store.delete_statement(loser)
-            memo.clear()
+            signatures.nodes.clear()
         collapsed += len(group) - 1
     return collapsed
 

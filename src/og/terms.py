@@ -19,7 +19,10 @@ Sid = uuid.UUID
 SID_IRI_PREFIX = "urn:og:sid:"
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BLANK_LABEL = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?$")
+#: A blank node label, and the local part of a Turtle prefixed name (Turtle's
+#: BLANK_NODE_LABEL and PN_LOCAL, cut down to ASCII). Unanchored, for scanners.
+NAME = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?")
+_LOCAL_UNSAFE = re.compile(r"[<>\s]")
 _SID_TEXT = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$")
 
 
@@ -47,7 +50,7 @@ class LocalId:
     def __post_init__(self):
         if not self.text:
             raise ValueError("local identifier must be non-empty")
-        if any(c in "<>" or c.isspace() for c in self.text):
+        if _LOCAL_UNSAFE.search(self.text):
             raise ValueError(f"local identifier contains '<', '>' or whitespace: {self.text!r}")
 
 
@@ -58,7 +61,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not _BLANK_LABEL.match(self.label):
+        if not NAME.fullmatch(self.label):
             raise ValueError(f"bad blank node label: {self.label!r}")
 
 

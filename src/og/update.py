@@ -196,9 +196,12 @@ def _vertex_terms(store: Store, vertex_id: str, cfg: LpgViewConfig) -> list[Term
 
 
 def _vertex_term_for_new(vertex_id: str) -> Term:
-    if vertex_id.startswith("_:"):
-        return BlankNode(vertex_id[2:])
-    return LocalId(vertex_id)
+    try:
+        if vertex_id.startswith("_:"):
+            return BlankNode(vertex_id[2:])
+        return LocalId(vertex_id)
+    except ValueError as e:
+        raise UnknownEndpointError(f"cannot create a vertex with id {vertex_id!r}: {e}") from None
 
 
 def lpg_add_edge(

@@ -64,16 +64,12 @@ def local_from_iri(iri: Iri, namespace: str = DEFAULT_LOCAL_NS) -> LocalId | Non
 
 def shorten_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     """Prefixed form under the longest matching prefix, else the full text."""
-    best: tuple[int, str, str] | None = None
-    for label, base in prefixes.items():
-        if iri.text.startswith(base):
-            # longest base wins; label breaks ties deterministically
-            cand = (len(base), label, base)
-            if best is None or cand[0] > best[0] or (cand[0] == best[0] and label < best[1]):
-                best = cand
-    if best is None:
+    matches = [label for label, base in prefixes.items() if iri.text.startswith(base)]
+    if not matches:
         return iri.text
-    return f"{best[1]}:{iri.text[best[0]:]}"
+    # longest base wins; the least label breaks ties deterministically
+    label = min(matches, key=lambda label: (-len(prefixes[label]), label))
+    return f"{label}:{iri.text[len(prefixes[label]):]}"
 
 
 def _expose(term: Term, namespace: str) -> Term:
