@@ -71,7 +71,7 @@ def parse_cli_term(token: str, prefixes: dict[str, str]) -> Term:
     token = token.strip()
     if not token:
         raise ParseError("empty term")
-    if token[0] in '<"_' or token.startswith('local:"'):
+    if token[0] in '<"' or token.startswith(("_:", 'local:"')):
         return parse_term_text(token)
     bare = bare_literal(token)
     if bare is not None:

@@ -301,31 +301,45 @@ def _render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     return shorten_iri(iri, fits) if fits else f"<{escape_iri(text)}>"
 
 
-def _render_node(t, prefixes: dict[str, str]) -> str:
+def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
+    """Text of one node, rendered once per ``memo``: a quoted triple from
+    its parts' text, memoized by identity, which equality would recurse to
+    reach."""
+    key = id(t) if isinstance(t, QuotedTriple) else t
+    text = memo.get(key)
+    if text is not None:
+        return text
     if isinstance(t, QuotedTriple):
-        s = _render_node(t.s, prefixes)
-        p = "a" if t.p == RDF_TYPE else _render_node(t.p, prefixes)
-        o = _render_node(t.o, prefixes)
-        return f"<< {s} {p} {o} >>"
-    if isinstance(t, Iri):
-        return _render_iri(t, prefixes)
-    if isinstance(t, BlankNode):
-        return f"_:{t.label}"
-    if isinstance(t, Literal):
-        return _render_literal(t, prefixes)
-    if isinstance(t, LocalId):
+        s = _render_node(t.s, prefixes, memo)
+        p = "a" if t.p == RDF_TYPE else _render_node(t.p, prefixes, memo)
+        o = _render_node(t.o, prefixes, memo)
+        text = f"<< {s} {p} {o} >>"
+    elif isinstance(t, Iri):
+        text = _render_iri(t, prefixes)
+    elif isinstance(t, BlankNode):
+        text = f"_:{t.label}"
+    elif isinstance(t, Literal):
+        text = _render_literal(t, prefixes)
+    elif isinstance(t, LocalId):
         raise ValueError("local identifiers must be exposed before serialization")
-    raise ValueError(f"not serializable here: {t!r}")
+    else:
+        raise ValueError(f"not serializable here: {t!r}")
+    memo[key] = text
+    return text
 
 
 def serialize_turtle_star(graph: RdfStarGraph, prefixes: dict[str, str] | None = None) -> str:
-    """Sorted, deterministic text for an RDF-star view, under the prefixes Turtle can read."""
+    """Sorted, deterministic text for an RDF-star view, under the prefixes Turtle can read.
+
+    Each node is rendered once: a quoted triple from its parts' text.
+    """
     prefixes = {label: iri for label, iri in (prefixes or {}).items()
                 if not label or PN_PREFIX.fullmatch(label)}
     lines = [f"@prefix {label}: <{escape_iri(iri)}> ." for label, iri in sorted(prefixes.items())]
     if lines:
         lines.append("")
+    memo: dict = {}
     for s, p, o in graph.sorted():
-        ps = "a" if p == RDF_TYPE else _render_node(p, prefixes)
-        lines.append(f"{_render_node(s, prefixes)} {ps} {_render_node(o, prefixes)} .")
+        ps = "a" if p == RDF_TYPE else _render_node(p, prefixes, memo)
+        lines.append(f"{_render_node(s, prefixes, memo)} {ps} {_render_node(o, prefixes, memo)} .")
     return "".join(line + "\n" for line in lines)

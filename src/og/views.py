@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 from urllib.parse import quote, unquote
 
 from .datatypes import RDF_LANG_STRING, XSD_STRING, CoercionTally, Literal, coerce_to_lpg
@@ -124,7 +124,7 @@ class RdfGraph:
         return iter(self.sorted())
 
     def sorted(self) -> list[tuple]:
-        return sorted(self.triples, key=triple_key)
+        return sorted(self.triples, key=_triple_keys())
 
 
 def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAULT_LOCAL_NS) -> RdfGraph:
@@ -171,11 +171,26 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
 
 @dataclass(frozen=True, slots=True)
 class QuotedTriple:
-    """A triple used as a term, RDF-star style."""
+    """A triple used as a term, RDF-star style.
+
+    The hash is taken once, at construction, so hashing a nest costs one
+    level however deep it is.
+    """
 
     s: Any
     p: Any
     o: Any
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: a string's hash differs between processes
+        return QuotedTriple, (self.s, self.p, self.o)
 
 
 @dataclass(frozen=True)
@@ -183,15 +198,33 @@ class RdfStarGraph(RdfGraph):
     """A set of asserted triples whose subjects/objects may quote triples."""
 
 
-def _part_key(t) -> tuple:
-    if isinstance(t, QuotedTriple):
-        return (5, _part_key(t.s), _part_key(t.p), _part_key(t.o))
-    return term_key(t)
+def _part_key(t, memo: dict[int, tuple]) -> tuple:
+    """Flat key of one part; a quoted triple's is built once per ``memo``,
+    which is keyed by ``id`` and so holds only while the triples live."""
+    if not isinstance(t, QuotedTriple):
+        return term_key(t)
+    key = memo.get(id(t))
+    if key is None:
+        key = memo[id(t)] = (5, *_part_key(t.s, memo), *_part_key(t.p, memo), *_part_key(t.o, memo))
+    return key
+
+
+def _triple_keys() -> Callable[[tuple], tuple]:
+    """:func:`triple_key` with one memo for all the triples it keys."""
+    memo: dict[int, tuple] = {}
+    return lambda triple: (*_part_key(triple[0], memo), *_part_key(triple[1], memo), *_part_key(triple[2], memo))
 
 
 def triple_key(triple: tuple) -> tuple:
-    """Deterministic sort key for (possibly quoted) triples."""
-    return tuple(_part_key(x) for x in triple)
+    """Deterministic sort key for (possibly quoted) triples.
+
+    The key is one flat tuple: the term keys of the three parts in a row,
+    with a quoted triple spelled ``5`` followed by the keys of its own
+    parts. A term key's length is fixed by its leading tag, so no key is a
+    prefix of another, and the order is the one of the nested tuples
+    ``(key(s), key(p), key(o))``.
+    """
+    return _triple_keys()(triple)
 
 
 def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: int = 32) -> RdfStarGraph:
@@ -201,10 +234,12 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     become triples whose sid references are replaced by the quoted triple of
     the referenced statement's content. The dimensional reduction is real:
     multi-edges become one triple and their annotations pool together.
-    Raises NestingOverflowError when quoting nests deeper than ``max_depth``
-    or than a quarter of ``sys.getrecursionlimit()`` (250 at the default
-    limit), whichever is less: hashing, ordering and serializing a quoted
-    triple take Python frames per level of nesting.
+    Equal quoted triples are one object. Raises NestingOverflowError when
+    quoting nests deeper than ``max_depth`` or than a quarter of
+    ``sys.getrecursionlimit()`` (250 at the default limit), whichever is
+    less: comparing two equal quoted triples, and building the first sort
+    key and the first Turtle-star text of one, take Python frames per level
+    of nesting. Hashing does not; it is cached at construction.
     """
     bound = min(max_depth, sys.getrecursionlimit() // 4)
     visible, depth = _analyze(store)
@@ -215,11 +250,15 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
         )
 
     rendered: dict[Sid, tuple] = {}
+    quoted: dict[tuple, QuotedTriple] = {}
 
     def part(t: Term):
-        if isinstance(t, SidRef):
-            return QuotedTriple(*rendered[t.sid])
-        return _expose(t, namespace)
+        if not isinstance(t, SidRef):
+            return _expose(t, namespace)
+        triple = rendered[t.sid]
+        if triple not in quoted:
+            quoted[triple] = QuotedTriple(*triple)
+        return quoted[triple]
 
     for st in store:
         if st.sid in visible:

@@ -1,6 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from og import Literal, LocalId, SidRef, Store, XSD_INTEGER
+
+# child interpreters (``python -m og.cli``) import og from this checkout too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -143,3 +143,17 @@ def test_cli_prefixed_names_take_any_local_part(token, local):
 def test_cli_prefixed_names_refused(token):
     with pytest.raises(ParseError):
         parse_cli_term(token, {"ex": EX, "e x": EX, ".ex": EX, "-ex": EX})
+
+
+
+@pytest.mark.parametrize("local", ["a", "", "a.b"])
+def test_cli_prefix_labels_may_start_with_underscore(local):
+    turtle = f"@prefix _p: <{EX}> .\n<urn:x:s> <urn:x:p> _p:{local} .\n"
+    assert parse_cli_term(f"_p:{local}", {"_p": EX}) == Iri(EX + local) == _object(parse_turtle_star, turtle)
+    assert parse_cli_term("_:p", {"_p": EX}) == BlankNode("p")
+
+
+@pytest.mark.parametrize("token", ["_p:a", "_x", "_"])
+def test_cli_undeclared_underscore_tokens_refused(token):
+    with pytest.raises(ParseError, match="cannot read term"):
+        parse_cli_term(token, {"ex": EX})
