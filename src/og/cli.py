@@ -123,7 +123,7 @@ def _resolve_config(args) -> tuple[str, dict[str, str]]:
     if args.prefixes:
         try:
             data = json.loads(_read_text(args.prefixes))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ParseError(f"{args.prefixes}: {e}") from None
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()

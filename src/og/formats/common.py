@@ -23,7 +23,7 @@ from ..datatypes import (
     Literal,
 )
 from ..errors import ParseError
-from ..statements import Statement, Term, blank_labels, rename_apart
+from ..statements import Term, blank_labels, rename_apart
 from ..store import Store
 from ..terms import (
     NAME,
@@ -270,38 +270,17 @@ def render_term(t: Term, *, ognq: bool = False) -> str:
     raise ValueError(f"not a term: {t!r}")
 
 
-def install_new(store: Store, triples: list[tuple]) -> None:
-    """Install one statement per (src, label, value) under fresh sids, all at once.
-
-    A src or value that is an int stands for the statement at that index of
-    ``triples``. Nothing is issued or installed before every triple is built.
-    """
-    sids = [store.fresh_sid() for _ in triples]
-
-    def term(t):
-        return SidRef(sids[t]) if isinstance(t, int) else t
-
-    store.add_statements(Statement(term(s), p, term(o), sid) for (s, p, o), sid in zip(triples, sids))
-
-
 def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
     """Renames keeping a document's blank labels apart from the store's."""
     existing = blank_labels(store)
     return rename_apart(labels & existing, labels | existing)
 
 
-def keep_blanks_apart(statements: list[Statement], store: Store) -> list[Statement]:
-    """The statements, with blank labels the store already uses renamed."""
-    renames = store_renames(store, blank_labels(statements))
-    if not renames:
-        return statements
-
-    def mapped(t: Term) -> Term:
-        if isinstance(t, BlankNode) and t.label in renames:
-            return BlankNode(renames[t.label])
-        return t
-
-    return [Statement(mapped(st.src), st.label, mapped(st.value), st.sid) for st in statements]
+def _renamed(t: Term, renames: dict[str, str]) -> Term:
+    """The term, with its blank label renamed when ``renames`` holds it."""
+    if isinstance(t, BlankNode) and t.label in renames:
+        return BlankNode(renames[t.label])
+    return t
 
 
 def split_lines(text: str) -> list[tuple[int, str]]:

@@ -24,7 +24,6 @@ from ..errors import ParseError, UnknownEndpointError, UnsupportedValueError
 from ..store import Store
 from ..terms import LocalId, sid_text
 from ..views import DEFAULT_VERTEX_LABEL, LpgGraph, VertexProperty
-from .common import install_new
 
 _LABEL = LocalId("label")
 
@@ -96,7 +95,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
             continue
         try:
             doc = json.loads(line, parse_constant=_no_constants)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ParseError(str(e), line=lineno)
         if not isinstance(doc, dict):
             raise ParseError("each line must be a JSON object", line=lineno)
@@ -161,7 +160,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
     for vid, term in vertices.items():
         if vid not in anchored:
             batch.append((term, _LABEL, Literal(DEFAULT_VERTEX_LABEL, XSD_STRING)))
-    install_new(store, batch)
+    store.insert_new(batch)
     return store
 
 

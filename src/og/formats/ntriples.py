@@ -8,17 +8,18 @@ order. Comments and blank lines are tolerated; errors carry line and column.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..statements import Statement, Term
+from ..statements import Term
 from ..store import Store
 from ..terms import BlankNode, Iri
 from ..views import RdfGraph
 from .common import (
     Cursor,
+    _renamed,
     end_of_statement,
-    keep_blanks_apart,
     render_term,
     scan_term,
     split_lines,
+    store_renames,
 )
 
 
@@ -43,8 +44,10 @@ def parse_ntriples(text: str, store: Store | None = None) -> Store:
         end_of_statement(cur)
         triples.append((s, p, o))
 
-    statements = [Statement(s, p, o, store.fresh_sid()) for s, p, o in triples]
-    store.add_statements(keep_blanks_apart(statements, store))
+    labels = {t.label for triple in triples for t in triple if isinstance(t, BlankNode)}
+    if renames := store_renames(store, labels):
+        triples = [tuple(_renamed(t, renames) for t in triple) for triple in triples]
+    store.insert_new(triples)
     return store
 
 

@@ -12,16 +12,17 @@ Forward references are fine: lines may mention sids defined further down.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..statements import Statement, Term
+from ..statements import Statement, Term, blank_labels
 from ..store import Store
 from ..terms import Sid, SidRef, sid_iri
 from .common import (
     Cursor,
+    _renamed,
     end_of_statement,
-    keep_blanks_apart,
     render_term,
     scan_term,
     split_lines,
+    store_renames,
 )
 
 
@@ -53,7 +54,10 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
             parsed.append(Statement(src, label, value, sid))
         except Exception as e:
             raise ParseError(str(e), line=lineno) from None
-    store.add_statements(keep_blanks_apart(parsed, store))
+    if renames := store_renames(store, blank_labels(parsed)):
+        parsed = [Statement(_renamed(st.src, renames), st.label, _renamed(st.value, renames), st.sid)
+                  for st in parsed]
+    store.add_statements(parsed)
     return store
 
 

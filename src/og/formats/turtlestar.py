@@ -29,7 +29,6 @@ from .common import (
     bare_literal,
     escape_iri,
     escape_string,
-    install_new,
     render_term,
     scan_blank,
     scan_iri_text,
@@ -121,7 +120,7 @@ class _Parser:
 
     A triple already in the store stands for its least sid. A new one is
     recorded once, in ``new``, and stands for its index there until
-    :func:`install_new` gives it a sid.
+    :meth:`Store.insert_new` gives it a sid.
     """
 
     def __init__(self, tokens: list[_Token], store: Store):
@@ -247,11 +246,7 @@ class _Parser:
         if tok.kind == "blank":
             return BlankNode(self.renames.get(tok.value, tok.value))
         if tok.kind == "<<":
-            s = self.node(allow_literal=False)
-            p = self.verb()
-            o = self.node(allow_literal=True)
-            self.expect(">>")
-            return self.stmt(s, p, o)
+            return self.quoted()
         if not allow_literal:
             self.fail(tok, "a literal cannot appear here")
         if tok.kind == "string":
@@ -259,6 +254,24 @@ class _Parser:
         if tok.kind in ("number", "boolean"):
             return bare_literal(tok.value)
         self.fail(tok, "expected a term")
+
+    def quoted(self) -> SidRef | int:
+        """The quoted triple whose ``<<`` was just read. Nested ones are read
+        with an explicit stack: the subject and verb read so far of each."""
+        stack: list[list] = [[]]
+        while True:
+            if self.peek().kind == "<<":
+                self.next()
+                stack.append([])
+                continue
+            term = self.node(allow_literal=bool(stack[-1]))
+            while len(stack[-1]) == 2:
+                s, p = stack.pop()
+                self.expect(">>")
+                term = self.stmt(s, p, term)
+                if not stack:
+                    return term
+            stack[-1] += (term, self.verb())
 
     def stmt(self, s, p: Term, o) -> SidRef | int:
         key = (s, p, o)
@@ -278,7 +291,7 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     store = store if store is not None else Store()
     parser = _Parser(_tokenize(text), store)
     parser.parse()
-    install_new(store, parser.new)
+    store.insert_new(parser.new)
     return store
 
 

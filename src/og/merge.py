@@ -323,6 +323,8 @@ def load_rules(text: str) -> MergeRules:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"rules file is not valid JSON: {e.msg}", line=e.lineno) from e
+    except RecursionError:
+        raise ParseError("rules file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("rules file must hold a JSON object")
     unknown = set(doc) - {"id_mappings", "blank_node_policy", "edge_identity"}

@@ -6,8 +6,13 @@ SidRef terms, and may only reference sids already present (so the reference
 structure is acyclic by construction). Deleting a statement either cascades
 over everything that references it or is refused while references remain.
 
-Graph membership is ordinary data: ``SidRef(sid) -urn:og:inGraph-> g``.
-Views know to treat that label specially; the store does not.
+New statements get their sids from :meth:`Store.insert_new`, which checks a
+whole batch before it issues one, so a refused insert keeps the next sid.
+
+Graph membership is data, ``SidRef(sid) -urn:og:inGraph-> g``, and the store
+treats that label specially: the node index skips statements under it,
+:meth:`Store.list_graphs` lists their graphs, and
+:meth:`Store.set_graph_membership` writes one per (sid, graph).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import copy
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import unquote
 
 from .datatypes import Literal
@@ -31,6 +36,7 @@ from .statements import (
     Statement,
     StatementPattern,
     Term,
+    _check_positions,
     term_key,
 )
 from .terms import Iri, LocalId, Sid, SidFactory, SidRef
@@ -136,6 +142,33 @@ class Store:
         if isinstance(term, Iri) and "%" in term.text:
             _add(self._escaped_nodes, unquote(term.text), term)
 
+    def insert_new(self, triples: Sequence[tuple]) -> list[Sid]:
+        """Insert one statement per (src, label, value) under fresh sids, in order.
+
+        A src or value that is an int stands for the statement at that index
+        of ``triples``, which must be an earlier one. The whole batch is
+        checked first (positions by the rule of :class:`Statement`, every
+        SidRef present, every int an earlier index), so on error no sid is
+        issued and the store is unchanged. Returns the new sids.
+        """
+        live = self._by_sid
+        for i, (src, label, value) in enumerate(triples):
+            _check_positions(src, label, value, "statement")
+            for t in (src, value):
+                if isinstance(t, int) and not 0 <= t < i:
+                    raise DanglingSidError(f"triple {i} refers to triple {t}, not an earlier one")
+                if isinstance(t, SidRef) and t.sid not in live:
+                    absent = {r.sid for r in (src, value) if isinstance(r, SidRef)} - live.keys()
+                    raise DanglingSidError(f"assertion references absent sid(s): {sorted(map(str, absent))}")
+        sids: list[Sid] = []
+        for src, label, value in triples:
+            src = SidRef(sids[src]) if isinstance(src, int) else src
+            value = SidRef(sids[value]) if isinstance(value, int) else value
+            st = Statement(src, label, value, self.fresh_sid())
+            self._install(st)
+            sids.append(st.sid)
+        return sids
+
     def insert_ground(self, src, label, value) -> Sid:
         """Insert a plain edge under a fresh sid.
 
@@ -144,24 +177,13 @@ class Store:
         """
         if isinstance(src, SidRef) or isinstance(value, SidRef):
             raise PositionError("ground statements cannot reference other statements")
-        st = Statement(src, label, value, self.fresh_sid())
-        self._install(st)
-        return st.sid
+        return self.insert_new(((src, label, value),))[0]
 
     def insert_assertion(self, src, label, value) -> Sid:
         """Insert a statement about statements; src and/or value is a SidRef."""
-        refs = set()
-        for t in (src, value):
-            if isinstance(t, SidRef):
-                refs.add(t.sid)
-        if not refs:
+        if not (isinstance(src, SidRef) or isinstance(value, SidRef)):
             raise PositionError("an assertion must reference at least one statement")
-        missing = [r for r in refs if r not in self._by_sid]
-        if missing:
-            raise DanglingSidError(f"assertion references absent sid(s): {sorted(map(str, missing))}")
-        st = Statement(src, label, value, self.fresh_sid())
-        self._install(st)
-        return st.sid
+        return self.insert_new(((src, label, value),))[0]
 
     def add_statements(self, statements: Iterable[Statement]) -> None:
         """Install pre-built statements, keeping their sids.

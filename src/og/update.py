@@ -25,6 +25,7 @@ from .errors import (
     PositionError,
     ReferencedSidError,
     UnknownEndpointError,
+    UnsupportedValueError,
 )
 from .statements import Statement, StatementPattern, Term, is_ground, term_key
 from .store import IN_GRAPH, DeletePolicy, Store
@@ -159,7 +160,7 @@ def star_annotate(
         )
     key = _internalize(key, namespace)
     value = _internalize(value, namespace)
-    return [store.insert_assertion(SidRef(st.sid), key, value) for st in matches]
+    return store.insert_new([(SidRef(st.sid), key, value) for st in matches])
 
 
 # --- property-graph entry points ------------------------------------------
@@ -167,6 +168,14 @@ def star_annotate(
 
 def _as_literal(value) -> Literal:
     return value if isinstance(value, Literal) else coerce_lpg_value(value)
+
+
+def _name(text: str, what: str) -> LocalId:
+    """The local identifier an edge label or property key stands for."""
+    try:
+        return LocalId(text)
+    except ValueError as e:
+        raise UnsupportedValueError(f"bad {what}: {e}") from None
 
 
 def _vertex_terms(store: Store, vertex_id: str, cfg: LpgViewConfig) -> list[Term]:
@@ -231,11 +240,9 @@ def lpg_add_edge(
             ends.append(_vertex_term_for_new(vid))
         else:
             raise UnknownEndpointError(f"no vertex with id {vid!r}")
-    props = [(LocalId(key), _as_literal(value)) for key, value in (properties or {}).items()]
-    sid = store.insert_ground(ends[0], LocalId(label), ends[1])
-    for key, value in props:
-        store.insert_assertion(SidRef(sid), key, value)
-    return sid
+    label = _name(label, "edge label")
+    props = [(0, _name(k, "property key"), _as_literal(v)) for k, v in (properties or {}).items()]
+    return store.insert_new([(ends[0], label, ends[1]), *props])[0]
 
 
 def lpg_set_property(
@@ -248,44 +255,33 @@ def lpg_set_property(
     """Set a single-valued property on a vertex or edge (last write wins).
 
     Every existing statement that shows as this property is deleted (with
-    cascade, taking its meta along) before the one new statement goes in.
-    Vertices are addressed by vertex id, edges by sid or sid text.
+    cascade, taking its meta along) before the one new statement goes in,
+    under the first one's label. Vertices are addressed by vertex id, edges
+    by sid or sid text. The value and key are checked before anything is
+    deleted.
     """
     cfg = config or LpgViewConfig()
-
-    if isinstance(element, str):
-        terms = _vertex_terms(store, element, cfg)
-        if terms:
-            sites = sorted(
-                (st for t in terms for st in store.match(StatementPattern(src=t))),
-                key=lambda st: st.sid,
-            )
-            old = [
-                st
-                for st in sites
-                if _lpg_reading(st, cfg) == "property" and _display(st.label, cfg) == key
-            ]
-            pred = old[0].label if old else LocalId(key)
-            for st in old:
-                store.delete_statement(st.sid, DeletePolicy.CASCADE)
-            return store.insert_ground(terms[0], pred, _as_literal(value))
-        try:
-            element = uuid.UUID(element)
-        except ValueError:
-            raise NotFoundError(f"no vertex or edge with id {element!r}") from None
-
-    edge = store.get(element)
-    if edge is None or _lpg_reading(edge, cfg) != "edge":
-        raise NotFoundError(f"no edge with sid {element}")
-    ref = SidRef(element)
+    value = _as_literal(value)
+    srcs = _vertex_terms(store, element, cfg) if isinstance(element, str) else []
+    if not srcs:
+        if isinstance(element, str):
+            try:
+                element = uuid.UUID(element)
+            except ValueError:
+                raise NotFoundError(f"no vertex or edge with id {element!r}") from None
+        edge = store.get(element)
+        if edge is None or _lpg_reading(edge, cfg) != "edge":
+            raise NotFoundError(f"no edge with sid {element}")
+        srcs = [SidRef(element)]
+    sites = (st for t in srcs for st in store.match(StatementPattern(src=t)))
     old = [
         st
-        for st in store.match(StatementPattern(src=ref))
-        if _lpg_reading(st, cfg) == "assertion"
-        and isinstance(st.value, Literal)
+        for st in sorted(sites, key=lambda st: st.sid)
+        if isinstance(st.value, Literal)
+        and _lpg_reading(st, cfg) in ("property", "assertion")
         and _display(st.label, cfg) == key
     ]
-    pred = old[0].label if old else LocalId(key)
+    label = old[0].label if old else _name(key, "property key")
     for st in old:
         store.delete_statement(st.sid, DeletePolicy.CASCADE)
-    return store.insert_assertion(ref, pred, _as_literal(value))
+    return store.insert_new([(srcs[0], label, value)])[0]
