@@ -23,7 +23,7 @@ from ..datatypes import (
     Literal,
 )
 from ..errors import ParseError
-from ..statements import Term, blank_labels, rename_apart
+from ..statements import Term, rename_apart
 from ..store import Store
 from ..terms import (
     NAME,
@@ -272,8 +272,8 @@ def render_term(t: Term, *, ognq: bool = False) -> str:
 
 def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
     """Renames keeping a document's blank labels apart from the store's."""
-    existing = blank_labels(store)
-    return rename_apart(labels & existing, labels | existing)
+    existing = store.blank_labels()
+    return rename_apart([label for label in labels if label in existing], existing, labels)
 
 
 def _renamed(t: Term, renames: dict[str, str]) -> Term:

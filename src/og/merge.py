@@ -149,7 +149,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
         preserved = blank_labels(st for st in b_statements if st.sid in copies)
         b_labels = blank_labels(b_statements)
-        blank_map = rename_apart(b_labels - preserved, blank_labels(a) | b_labels)
+        blank_map = rename_apart(b_labels - preserved, a.blank_labels(), b_labels)
 
     aligned: set[Term] = set()
 

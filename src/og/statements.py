@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Container, Iterable, Union
 
 from .datatypes import Literal
 from .errors import PositionError
@@ -86,20 +86,19 @@ def blank_labels(statements: Iterable[Statement]) -> set[str]:
     }
 
 
-def rename_apart(labels: Iterable[str], taken: Iterable[str]) -> dict[str, str]:
-    """A fresh ``label_k`` for each label, with the least k not yet taken.
+def rename_apart(labels: Iterable[str], *taken: Container[str]) -> dict[str, str]:
+    """A fresh ``label_k`` for each label, with the least k that no ``taken``
+    container holds; the containers are only asked ``in``.
 
-    Labels are renamed in sorted order, and each new name counts as taken
-    for the labels after it.
+    No two labels get the same name, since the digits after its last ``_``
+    fix the label a name was made from.
     """
-    taken = set(taken)
     renames = {}
-    for label in sorted(labels):
+    for label in labels:
         k = 1
-        while f"{label}_{k}" in taken:
+        while any(f"{label}_{k}" in t for t in taken):
             k += 1
         renames[label] = f"{label}_{k}"
-        taken.add(renames[label])
     return renames
 
 

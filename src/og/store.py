@@ -12,7 +12,9 @@ whole batch before it issues one, so a refused insert keeps the next sid.
 Graph membership is data, ``SidRef(sid) -urn:og:inGraph-> g``, and the store
 treats that label specially: the node index skips statements under it,
 :meth:`Store.list_graphs` lists their graphs, and
-:meth:`Store.set_graph_membership` writes one per (sid, graph).
+:meth:`Store.set_graph_membership` writes one per (sid, graph). References are
+installed first and outlive their referrers, so the store records at install
+whether the views hide a statement (:meth:`Store.hidden`) and its depth.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import copy
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 from urllib.parse import unquote
 
 from .datatypes import Literal
@@ -39,7 +41,7 @@ from .statements import (
     _check_positions,
     term_key,
 )
-from .terms import Iri, LocalId, Sid, SidFactory, SidRef
+from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef
 
 #: Reserved label for graph-membership assertions.
 IN_GRAPH = Iri("urn:og:inGraph")
@@ -71,6 +73,11 @@ class Store:
         # occurrences of each node (source, or non-literal value) of the
         # ground statements outside graph membership
         self._nodes: dict[Term, int] = {}
+        # occurrences of each blank label in source or value position
+        self._blanks: dict[str, int] = {}
+        # each assertion's quoting depth; the sids hidden from the views
+        self._depth: dict[Sid, int] = {}
+        self._hidden: set[Sid] = set()
         self._sids = SidFactory(seed)
 
     # --- basics ---------------------------------------------------------
@@ -101,6 +108,18 @@ class Store:
         """Sids of assertions that reference the given sid directly."""
         return set(_members(self._referrers, sid))
 
+    def depth(self, sid: Sid) -> int:
+        """0 for a ground statement, else one more than its deepest reference."""
+        return self._depth.get(sid, 0)
+
+    def hidden(self, sid: Sid) -> bool:
+        """Whether the statement is a membership or references a hidden one."""
+        return sid in self._hidden
+
+    def blank_labels(self) -> KeysView[str]:
+        """Labels of the blank nodes in source or value position (a live view)."""
+        return self._blanks.keys()
+
     def copy(self) -> "Store":
         """A content-equal store that goes on issuing sids where this one is."""
         out = Store()
@@ -118,14 +137,18 @@ class Store:
         key = (src, label, value)
         if self._by_content.setdefault(key, sid) is not sid:
             _add(self._by_content, key, sid)
-        if isinstance(value, SidRef):
-            _add(self._referrers, value.sid, sid)
-        if isinstance(src, SidRef):
-            _add(self._referrers, src.sid, sid)
+        blanks = self._blanks
+        if type(src) is BlankNode:
+            blanks[src.label] = blanks.get(src.label, 0) + 1
+        if type(value) is BlankNode:
+            blanks[value.label] = blanks.get(value.label, 0) + 1
+        if isinstance(src, SidRef) or isinstance(value, SidRef):
+            self._install_assertion(st)
             return
         if self._by_src.setdefault(src, sid) is not sid:
             _add(self._by_src, src, sid)
-        if isinstance(value, SidRef) or _is_membership(label):
+        if _is_membership(label):
+            self._hidden.add(sid)
             return
         nodes = self._nodes
         n = nodes.get(src, 0)
@@ -137,6 +160,16 @@ class Store:
             nodes[value] = n + 1
             if not n:
                 self._new_node(value)
+
+    def _install_assertion(self, st: Statement) -> None:
+        refs = [t.sid for t in (st.src, st.value) if isinstance(t, SidRef)]
+        for r in refs:
+            _add(self._referrers, r, st.sid)
+        if not isinstance(st.src, SidRef):
+            _add(self._by_src, st.src, st.sid)
+        self._depth[st.sid] = 1 + max(self._depth.get(r, 0) for r in refs)
+        if _is_membership(st.label) or not self._hidden.isdisjoint(refs):
+            self._hidden.add(st.sid)
 
     def _new_node(self, term: Term) -> None:
         if isinstance(term, Iri) and "%" in term.text:
@@ -239,6 +272,13 @@ class Store:
         del self._by_sid[sid]
         self._sids.reserve(sid)
         self._referrers.pop(sid, None)
+        self._depth.pop(sid, None)
+        self._hidden.discard(sid)
+        for t in (src, value):
+            if type(t) is BlankNode:
+                n = self._blanks.pop(t.label) - 1
+                if n:
+                    self._blanks[t.label] = n
         _discard(self._by_content, (src, label, value), sid)
         if isinstance(value, SidRef):
             _discard(self._referrers, value.sid, sid)

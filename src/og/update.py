@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedValueError,
 )
 from .statements import Statement, StatementPattern, Term, is_ground, term_key
-from .store import IN_GRAPH, DeletePolicy, Store
+from .store import DeletePolicy, Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef
 from .views import (
     DEFAULT_LOCAL_NS,
@@ -80,7 +80,7 @@ def _ground_matches(store: Store, s: Term, p: Term, o: Term, namespace: str) -> 
     for content in product(*(_spellings(t, namespace) for t in (s, p, o))):
         sids.update(store.sids_by_content(*content))
     found = (store.get(sid) for sid in sorted(sids))
-    return [st for st in found if is_ground(st) and st.label != IN_GRAPH]
+    return [st for st in found if is_ground(st) and not store.hidden(st.sid)]
 
 
 def rdf_delete_triple(

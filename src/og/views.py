@@ -7,7 +7,9 @@ either omits honestly (RDF hides statement identity, the LPG view tallies a
 
 Graph-membership statements (label ``urn:og:inGraph``) are carrier data for
 :func:`dataset_view` and are invisible as triples in every view, along with
-any assertion whose reference closure touches one.
+any assertion whose reference closure touches one. The store records that
+rule and the quoting depth at install (:meth:`Store.hidden`,
+:meth:`Store.depth`), so no view works them out again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from urllib.parse import quote, unquote
 
 from .datatypes import RDF_LANG_STRING, XSD_STRING, CoercionTally, Literal, coerce_to_lpg
 from .errors import NamespaceError, NestingOverflowError
-from .statements import Statement, Term, is_ground, referenced_sids, term_key
+from .statements import Statement, Term, is_ground, term_key
 from .store import IN_GRAPH, Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_iri
 
@@ -86,21 +88,9 @@ def _exposed_triple(st: Statement, namespace: str) -> tuple:
 
 
 def _analyze(store: Store) -> tuple[set[Sid], dict[Sid, int]]:
-    """Visibility and quoting depth for every statement.
-
-    A statement is visible unless it is a membership statement or references
-    (transitively) one. Depth is 0 for ground statements, else one more than
-    the deepest referenced statement. One forward pass: the store yields
-    each statement after the statements it references.
-    """
-    visible: set[Sid] = set()
-    depth: dict[Sid, int] = {}
-    for st in store:
-        refs = referenced_sids(st)
-        depth[st.sid] = 1 + max(depth[r] for r in refs) if refs else 0
-        if st.label != IN_GRAPH and refs <= visible:
-            visible.add(st.sid)
-    return visible, depth
+    """The visible sids and every statement's depth, as the store recorded them."""
+    depth = {st.sid: store.depth(st.sid) for st in store}
+    return {s for s in depth if not store.hidden(s)}, depth
 
 
 # --- plain RDF -----------------------------------------------------------
@@ -136,7 +126,6 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
     classic reification triples under the statement's sid IRI, plus one
     triple per assertion with sid references rendered as sid IRIs.
     """
-    visible, _ = _analyze(store)
     triples: set[tuple] = set()
     reified: set[Sid] = set()
 
@@ -157,7 +146,7 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
         return iri
 
     for st in store:
-        if st.sid not in visible:
+        if store.hidden(st.sid):
             continue
         if is_ground(st):
             triples.add(_exposed_triple(st, namespace))
@@ -242,13 +231,6 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     of nesting. Hashing does not; it is cached at construction.
     """
     bound = min(max_depth, sys.getrecursionlimit() // 4)
-    visible, depth = _analyze(store)
-    too_deep = [s for s in visible if depth[s] > bound]
-    if too_deep:
-        raise NestingOverflowError(
-            f"quoted-triple nesting exceeds {bound} (e.g. statement {min(too_deep)})"
-        )
-
     rendered: dict[Sid, tuple] = {}
     quoted: dict[tuple, QuotedTriple] = {}
 
@@ -261,8 +243,11 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
         return quoted[triple]
 
     for st in store:
-        if st.sid in visible:
-            rendered[st.sid] = (part(st.src), _expose(st.label, namespace), part(st.value))
+        if store.hidden(st.sid):
+            continue
+        if store.depth(st.sid) > bound:
+            raise NestingOverflowError(f"quoted-triple nesting exceeds {bound} (e.g. statement {st.sid})")
+        rendered[st.sid] = (part(st.src), _expose(st.label, namespace), part(st.value))
     return RdfStarGraph(frozenset(rendered.values()))
 
 
@@ -431,7 +416,6 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
     for e in g.edges.values():
         e.properties = {k: e.properties[k] for k in sorted(e.properties)}
     g.vertices = {k: g.vertices[k] for k in sorted(g.vertices)}
-    g.edges = {k: g.edges[k] for k in sorted(g.edges)}
     return g
 
 
@@ -471,7 +455,7 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     default: set[tuple] = set()
     named: dict[Term, set[tuple]] = {}
     for st in store:
-        if not is_ground(st) or st.label == IN_GRAPH:
+        if not is_ground(st) or store.hidden(st.sid):
             continue
         triple = _exposed_triple(st, namespace)
         graphs = memberships.get(st.sid)

@@ -58,6 +58,21 @@ def invisible_sids(statements):
     return hidden
 
 
+def quoting_depth(statements):
+    """Quoting depth of every statement: 0 for a ground one, else one more
+    than its deepest reference. Fixpoint: raise depths until none changes."""
+    depth = {st.sid: 0 for st in statements}
+    changed = True
+    while changed:
+        changed = False
+        for st in statements:
+            d = max((depth[r] + 1 for r in referenced_sids(st)), default=0)
+            if d != depth[st.sid]:
+                depth[st.sid] = d
+                changed = True
+    return depth
+
+
 def exposed(term, namespace):
     if isinstance(term, LocalId):
         return expose_local_as_iri(term, namespace)
