@@ -208,16 +208,20 @@ def cmd_merge(args, namespace: str, prefixes: dict[str, str]) -> int:
     return 0
 
 
+def _literal_value(raw: str, prefixes: dict[str, str]) -> Literal:
+    value = parse_cli_term(raw, prefixes)
+    if not isinstance(value, Literal):
+        raise OgError(f"property values must be literals, got {raw!r}")
+    return value
+
+
 def _edge_properties(pairs: list[str], prefixes: dict[str, str]) -> dict[str, Literal]:
     props: dict[str, Literal] = {}
     for pair in pairs:
         if "=" not in pair:
             raise OgError(f"--property takes key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        value = parse_cli_term(raw, prefixes)
-        if not isinstance(value, Literal):
-            raise OgError(f"property values must be literals, got {raw!r}")
-        props[key] = value
+        props[key] = _literal_value(raw, prefixes)
     return props
 
 
@@ -251,10 +255,7 @@ def cmd_mutate(args, namespace: str, prefixes: dict[str, str]) -> int:
         )
     else:
         element, key, raw = args.set_property
-        value = parse_cli_term(raw, prefixes)
-        if not isinstance(value, Literal):
-            raise OgError(f"property values must be literals, got {raw!r}")
-        lpg_set_property(store, element, key, value, _lpg_config(namespace, prefixes))
+        lpg_set_property(store, element, key, _literal_value(raw, prefixes), _lpg_config(namespace, prefixes))
     after = {st.sid for st in store}
 
     _write_out(serialize_ognq(store), args.out)

@@ -68,15 +68,18 @@ class Template:
 
     match: str
     produce: str
+    # ``match`` parsed once: (prefix, slot name, suffix)
+    _parts: tuple[str, str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = _single_slot(self.match, "match")
         p = _single_slot(self.produce, "produce")
         if m[1] != p[1]:
             raise BadTemplateError(f"match and produce must share the slot name: {self.match!r} vs {self.produce!r}")
+        object.__setattr__(self, "_parts", m)
 
     def apply(self, local: LocalId) -> Iri | None:
-        prefix, slot, suffix = _single_slot(self.match, "match")
+        prefix, slot, suffix = self._parts
         text = local.text
         if not (text.startswith(prefix) and text.endswith(suffix)
                 and len(text) >= len(prefix) + len(suffix)):

@@ -23,7 +23,6 @@ import copy
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Sequence
-from urllib.parse import unquote
 
 from .datatypes import Literal
 from .errors import (
@@ -68,8 +67,6 @@ class Store:
         self._referrers: dict[Sid, Sid | set[Sid]] = {}
         # statements by source, for every source that is not a SidRef
         self._by_src: dict[Term, Sid | set[Sid]] = {}
-        # the node IRIs that contain '%', by their percent-decoded text
-        self._escaped_nodes: dict[str, Iri | set[Iri]] = {}
         # occurrences of each node (source, or non-literal value) of the
         # ground statements outside graph membership
         self._nodes: dict[Term, int] = {}
@@ -130,8 +127,7 @@ class Store:
     # --- insertion ------------------------------------------------------
 
     def _install(self, st: Statement) -> None:
-        # the hot path of every load: _add's common case, a new key, and the
-        # node count of a known node are inlined
+        # the hot path of every load: _add's common case (a new key) and the node counts are inlined
         sid, src, label, value = st.sid, st.src, st.label, st.value
         self._by_sid[sid] = st
         key = (src, label, value)
@@ -151,15 +147,9 @@ class Store:
             self._hidden.add(sid)
             return
         nodes = self._nodes
-        n = nodes.get(src, 0)
-        nodes[src] = n + 1
-        if not n:
-            self._new_node(src)
+        nodes[src] = nodes.get(src, 0) + 1
         if not isinstance(value, Literal):
-            n = nodes.get(value, 0)
-            nodes[value] = n + 1
-            if not n:
-                self._new_node(value)
+            nodes[value] = nodes.get(value, 0) + 1
 
     def _install_assertion(self, st: Statement) -> None:
         refs = [t.sid for t in (st.src, st.value) if isinstance(t, SidRef)]
@@ -170,10 +160,6 @@ class Store:
         self._depth[st.sid] = 1 + max(self._depth.get(r, 0) for r in refs)
         if _is_membership(st.label) or not self._hidden.isdisjoint(refs):
             self._hidden.add(st.sid)
-
-    def _new_node(self, term: Term) -> None:
-        if isinstance(term, Iri) and "%" in term.text:
-            _add(self._escaped_nodes, unquote(term.text), term)
 
     def insert_new(self, triples: Sequence[tuple]) -> list[Sid]:
         """Insert one statement per (src, label, value) under fresh sids, in order.
@@ -292,8 +278,6 @@ class Store:
             n = self._nodes.pop(node) - 1
             if n:
                 self._nodes[node] = n
-            elif isinstance(node, Iri) and "%" in node.text:
-                _discard(self._escaped_nodes, unquote(node.text), node)
 
     def delete_statement(self, sid: Sid, policy: DeletePolicy = DeletePolicy.CASCADE) -> int:
         """Delete a statement; returns how many statements were removed.
@@ -350,12 +334,6 @@ class Store:
         """Whether the term is a source, or a non-literal value, of some
         ground statement outside graph membership."""
         return term in self._nodes
-
-    def escaped_nodes(self, decoded: str | None = None) -> set[Iri]:
-        """Node IRIs containing '%' whose percent-decoded text is ``decoded``,
-        or all of them when it is None."""
-        keys = self._escaped_nodes if decoded is None else (decoded,)
-        return {t for key in keys for t in _members(self._escaped_nodes, key)}
 
     # --- graph membership -----------------------------------------------
 

@@ -14,7 +14,6 @@ the store untouched.
 
 from __future__ import annotations
 
-import uuid
 from enum import Enum
 from itertools import product
 
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .statements import Statement, StatementPattern, Term, is_ground, term_key
 from .store import DeletePolicy, Store
-from .terms import BlankNode, Iri, LocalId, Sid, SidRef
+from .terms import BlankNode, Iri, LocalId, Sid, SidRef, parse_sid_text
 from .views import (
     DEFAULT_LOCAL_NS,
     LpgViewConfig,
@@ -55,32 +54,33 @@ class InsertSemantics(Enum):
     MULTI = "multi"
 
 
-def _internalize(t: Term, namespace: str) -> Term:
-    if isinstance(t, Iri):
-        local = local_from_iri(t, namespace)
-        if local is not None:
-            return local
-    return t
-
-
 def _spellings(t: Term, namespace: str) -> list[Term]:
     """The store terms whose exposed form equals that of ``t``: the exposed
-    term itself, and the local identifier that exposes exactly as it."""
+    term, then the local identifier exposing as exactly it. Updates write the last."""
     exposed = _expose(t, namespace)
-    if isinstance(exposed, Iri):
-        local = local_from_iri(exposed, namespace)
-        if local is not None and expose_local_as_iri(local, namespace) == exposed:
-            return [exposed, local]
-    return [exposed]
+    local = local_from_iri(exposed, namespace) if isinstance(exposed, Iri) else None
+    return [exposed] if local is None else [exposed, local]
 
 
 def _ground_matches(store: Store, s: Term, p: Term, o: Term, namespace: str) -> list[Statement]:
     """Visible ground statements whose exposed triple is (s, p, o), in sid order."""
+    return _matches(store, [_spellings(t, namespace) for t in (s, p, o)])
+
+
+def _matches(store: Store, spelled: list[list[Term]]) -> list[Statement]:
     sids = set()
-    for content in product(*(_spellings(t, namespace) for t in (s, p, o))):
+    for content in product(*spelled):
         sids.update(store.sids_by_content(*content))
     found = (store.get(sid) for sid in sorted(sids))
     return [st for st in found if is_ground(st) and not store.hidden(st.sid)]
+
+
+def _refuse_ambiguity(matches: list[Statement], policy: AmbiguityPolicy) -> None:
+    """ERROR_IF_MULTIPLE refuses a triple that addresses several statements."""
+    if policy is AmbiguityPolicy.ERROR_IF_MULTIPLE and len(matches) > 1:
+        raise AmbiguousTargetError(
+            f"triple addresses {len(matches)} statements: {[str(m.sid) for m in matches]}"
+        )
 
 
 def rdf_delete_triple(
@@ -100,10 +100,7 @@ def rdf_delete_triple(
     matches = _ground_matches(store, s, p, o, namespace)
     if not matches:
         return 0
-    if ambiguity is AmbiguityPolicy.ERROR_IF_MULTIPLE and len(matches) > 1:
-        raise AmbiguousTargetError(
-            f"triple addresses {len(matches)} statements: {[str(m.sid) for m in matches]}"
-        )
+    _refuse_ambiguity(matches, ambiguity)
     if delete is DeletePolicy.RESTRICT:
         held = [str(st.sid) for st in matches if store.referrers(st.sid)]
         if held:
@@ -122,14 +119,15 @@ def rdf_insert_triple(
     """Insert a ground statement for a view triple.
 
     SET returns None without touching the store when the triple is already
-    visible; MULTI always adds another statement. Terms are internalized, so
-    exposed local-identifier IRIs store as the local identifiers they name.
+    visible; MULTI always adds another statement. An IRI that is exactly the
+    exposure of a local identifier (:func:`~og.views.local_from_iri`) is
+    stored as that identifier, and every other term as given, so the view
+    shows the triple as given.
     """
-    if semantics is InsertSemantics.SET and _ground_matches(store, s, p, o, namespace):
+    spelled = [_spellings(t, namespace) for t in (s, p, o)]
+    if semantics is InsertSemantics.SET and _matches(store, spelled):
         return None
-    return store.insert_ground(
-        _internalize(s, namespace), _internalize(p, namespace), _internalize(o, namespace)
-    )
+    return store.insert_ground(*(terms[-1] for terms in spelled))
 
 
 def star_annotate(
@@ -154,12 +152,9 @@ def star_annotate(
     matches = _ground_matches(store, s, p, o, namespace)
     if not matches:
         raise NotFoundError("no ground statement matches the triple")
-    if policy is AmbiguityPolicy.ERROR_IF_MULTIPLE and len(matches) > 1:
-        raise AmbiguousTargetError(
-            f"triple addresses {len(matches)} statements: {[str(m.sid) for m in matches]}"
-        )
-    key = _internalize(key, namespace)
-    value = _internalize(value, namespace)
+    _refuse_ambiguity(matches, policy)
+    key = _spellings(key, namespace)[-1]
+    value = _spellings(value, namespace)[-1]
     return store.insert_new([(SidRef(st.sid), key, value) for st in matches])
 
 
@@ -182,11 +177,12 @@ def _vertex_terms(store: Store, vertex_id: str, cfg: LpgViewConfig) -> list[Term
     """Store terms behind a vertex id, least term first; empty for no vertex.
 
     Inverts :func:`_display`: a vertex id can only come from its local
-    identifier, its blank node, an IRI under the default namespace (any
-    spelling of the percent escapes), or an IRI under a prefix or in full.
+    identifier, that identifier's exposure under the default namespace (the
+    one IRI there that displays as local text), its blank node, or an IRI
+    under a prefix or in full.
     """
-    ns = cfg.default_namespace
-    spellings = [(LocalId, vertex_id), (Iri, vertex_id), (Iri, ns + vertex_id)]
+    exposed = lambda text: expose_local_as_iri(LocalId(text), cfg.default_namespace)
+    spellings = [(LocalId, vertex_id), (exposed, vertex_id), (Iri, vertex_id)]
     spellings += [
         (Iri, base + vertex_id[len(label) + 1:])
         for label, base in cfg.prefixes.items()
@@ -194,7 +190,7 @@ def _vertex_terms(store: Store, vertex_id: str, cfg: LpgViewConfig) -> list[Term
     ]
     if vertex_id.startswith("_:"):
         spellings.append((BlankNode, vertex_id[2:]))
-    candidates = store.escaped_nodes(None if "%" in ns else ns + vertex_id)
+    candidates = set()
     for make, text in spellings:
         try:
             candidates.add(make(text))
@@ -257,8 +253,8 @@ def lpg_set_property(
     Every existing statement that shows as this property is deleted (with
     cascade, taking its meta along) before the one new statement goes in,
     under the first one's label. Vertices are addressed by vertex id, edges
-    by sid or sid text. The value and key are checked before anything is
-    deleted.
+    by sid or canonical sid text (:func:`~og.terms.sid_text`). The value
+    and key are checked before anything is deleted.
     """
     cfg = config or LpgViewConfig()
     value = _as_literal(value)
@@ -266,7 +262,7 @@ def lpg_set_property(
     if not srcs:
         if isinstance(element, str):
             try:
-                element = uuid.UUID(element)
+                element = parse_sid_text(element)
             except ValueError:
                 raise NotFoundError(f"no vertex or edge with id {element!r}") from None
         edge = store.get(element)

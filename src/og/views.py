@@ -55,11 +55,13 @@ def expose_local_as_iri(local: LocalId, namespace: str = DEFAULT_LOCAL_NS) -> Ir
 
 
 def local_from_iri(iri: Iri, namespace: str = DEFAULT_LOCAL_NS) -> LocalId | None:
-    """Inverse of :func:`expose_local_as_iri`; None when it does not apply."""
+    """Exact inverse of :func:`expose_local_as_iri`: the local identifier exposing as exactly ``iri``, else None."""
     if not iri.text.startswith(namespace):
         return None
+    rest = iri.text[len(namespace):]
+    text = unquote(rest)
     try:
-        return LocalId(unquote(iri.text[len(namespace):]))
+        return LocalId(text) if quote(text, safe="") == rest else None
     except ValueError:
         return None
 
@@ -298,8 +300,9 @@ class LpgViewConfig:
 
     ``label_predicates`` names the labels whose ground statements read as
     vertex labels rather than edges or properties. ``default_namespace``
-    works like the RDF exposure namespace in reverse: IRIs under it display
-    as their decoded local text.
+    is the RDF exposure namespace read back: the exposure of a local
+    identifier under it displays as that identifier's text, and any other
+    IRI as :func:`shorten_iri` gives it.
     """
 
     label_predicates: frozenset = frozenset((RDF_TYPE, LocalId("label")))
@@ -320,9 +323,8 @@ def _display(term: Term, cfg: LpgViewConfig) -> str:
     if isinstance(term, BlankNode):
         return "_:" + term.label
     if isinstance(term, Iri):
-        if term.text.startswith(cfg.default_namespace):
-            return unquote(term.text[len(cfg.default_namespace):])
-        return shorten_iri(term, cfg.prefixes)
+        local = local_from_iri(term, cfg.default_namespace)
+        return shorten_iri(term, cfg.prefixes) if local is None else local.text
     raise TypeError(f"no property-graph rendering for {term!r}")
 
 
@@ -353,9 +355,16 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
     cfg = config or LpgViewConfig()
     g = LpgGraph()
     prop_site: dict[Sid, VertexProperty] = {}
+    shown: dict[str, str] = {}
+
+    def display(term: Term) -> str:
+        # an IRI's display (never empty) costs a percent round trip, so each is worked out once
+        if type(term) is not Iri:
+            return _display(term, cfg)
+        return shown.get(term.text) or shown.setdefault(term.text, _display(term, cfg))
 
     def vertex(term: Term) -> Vertex:
-        vid = _display(term, cfg)
+        vid = display(term)
         if vid not in g.vertices:
             g.vertices[vid] = Vertex()
         return g.vertices[vid]
@@ -374,31 +383,29 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
             if isinstance(st.value, Literal):
                 label = coerce_to_lpg(st.value, g.coercion)
             else:
-                label = _display(st.value, cfg)
+                label = display(st.value)
                 vertex(st.value)
             if label not in v.labels:
                 v.labels.append(label)
         elif reading == "property":
             site = VertexProperty(coerce_to_lpg(st.value, g.coercion))
-            v.properties.setdefault(_display(st.label, cfg), []).append(site)
+            v.properties.setdefault(display(st.label), []).append(site)
             prop_site[st.sid] = site
         else:
             vertex(st.value)
-            g.edges[st.sid] = Edge(
-                _display(st.src, cfg), _display(st.value, cfg), _display(st.label, cfg)
-            )
+            g.edges[st.sid] = Edge(display(st.src), display(st.value), display(st.label))
 
     for st in assertions:
         if isinstance(st.src, SidRef) and isinstance(st.value, Literal):
             target = st.src.sid
             if target in g.edges:
-                g.edges[target].properties.setdefault(_display(st.label, cfg), []).append(
+                g.edges[target].properties.setdefault(display(st.label), []).append(
                     coerce_to_lpg(st.value, g.coercion)
                 )
                 continue
             if target in prop_site:
                 if cfg.expose_meta_properties:
-                    prop_site[target].meta.setdefault(_display(st.label, cfg), []).append(
+                    prop_site[target].meta.setdefault(display(st.label), []).append(
                         coerce_to_lpg(st.value, g.coercion)
                     )
                 else:

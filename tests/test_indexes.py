@@ -116,5 +116,5 @@ def test_indexes_after_deletions_equal_a_fresh_build(data, namespace):
     store = data.draw(spelled_stores(namespace))
     fresh = Store()
     fresh.add_statements(store.statements())
-    for index in ("_by_content", "_referrers", "_by_src", "_nodes", "_escaped_nodes"):
+    for index in ("_by_content", "_referrers", "_by_src", "_nodes"):
         assert getattr(store, index) == getattr(fresh, index), index

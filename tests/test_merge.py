@@ -1,5 +1,6 @@
 """Merging two stores: alignment, blank-node policies, edge identity."""
 
+import importlib
 import uuid
 
 import pytest
@@ -277,3 +278,21 @@ class TestSeededIssuing:
         issued = [collapsed.fresh_sid() for _ in range(9)]
         # the folded statement's sid is never issued again
         assert issued == [uuid.UUID(int=n) for n in range(4, 14) if n != 11]
+
+
+def test_a_template_parses_its_patterns_only_when_it_is_made(monkeypatch):
+    module = importlib.import_module("og.merge")
+    calls = []
+    parse = module._single_slot
+    monkeypatch.setattr(module, "_single_slot", lambda *args: calls.append(args) or parse(*args))
+    rules = MergeRules(id_mappings=[Template("c-{code}", "urn:geo:{code}"), Template("{x}-z", "urn:z:{x}")])
+    assert len(calls) == 4
+    b = Store(seed=9)
+    for n in range(20):
+        b.insert_ground(LocalId(f"c-{n}"), LocalId("p"), LocalId(f"v{n}-z"))
+    out, report = merge(Store(seed=0), b, rules)
+    assert len(calls) == 4
+    assert report.identifiers_aligned == 40
+    assert Iri("urn:geo:3") in {st.src for st in out.statements()}
+    assert rules.id_mappings[0] == Template("c-{code}", "urn:geo:{code}")
+    assert repr(rules.id_mappings[0]) == "Template(match='c-{code}', produce='urn:geo:{code}')"
