@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .datatypes import Literal
@@ -196,15 +197,8 @@ def cmd_merge(args, namespace: str, prefixes: dict[str, str]) -> int:
         rules = MergeRules()
     merged, report = merge(a, b, rules)
     _write_out(serialize_ognq(merged), args.out)
-    for key in (
-        "statements_in_a",
-        "statements_in_b",
-        "statements_out",
-        "identifiers_aligned",
-        "blank_nodes_renamed",
-        "edges_collapsed",
-    ):
-        print(f"{key}={getattr(report, key)}")
+    for f in fields(report):
+        print(f"{f.name}={getattr(report, f.name)}")
     return 0
 
 
@@ -228,9 +222,9 @@ def _edge_properties(pairs: list[str], prefixes: dict[str, str]) -> dict[str, Li
 def cmd_mutate(args, namespace: str, prefixes: dict[str, str]) -> int:
     store = _load_ognq(args.input, args.seed)
     term = lambda t: parse_cli_term(t, prefixes)
-    ambiguity = AmbiguityPolicy.ALL if args.ambiguity == "all" else AmbiguityPolicy.ERROR_IF_MULTIPLE
-    delete = DeletePolicy.CASCADE if args.delete == "cascade" else DeletePolicy.RESTRICT
-    semantics = InsertSemantics.SET if args.insert == "set" else InsertSemantics.MULTI
+    ambiguity = AmbiguityPolicy(args.ambiguity)
+    delete = DeletePolicy(args.delete)
+    semantics = InsertSemantics(args.insert)
 
     before = {st.sid for st in store}
     if args.delete_triple:
@@ -318,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--annotate", nargs=5, metavar=("S", "P", "O", "KEY", "VALUE"))
     group.add_argument("--add-edge", nargs=3, metavar=("FROM", "TO", "LABEL"))
     group.add_argument("--set-property", nargs=3, metavar=("ELEMENT", "KEY", "VALUE"))
-    p.add_argument("--ambiguity", choices=("all", "error"), default="all")
-    p.add_argument("--delete", choices=("cascade", "restrict"), default="cascade")
-    p.add_argument("--insert", choices=("set", "multi"), default="set")
+    p.add_argument("--ambiguity", choices=[m.value for m in AmbiguityPolicy], default="all")
+    p.add_argument("--delete", choices=[m.value for m in DeletePolicy], default="cascade")
+    p.add_argument("--insert", choices=[m.value for m in InsertSemantics], default="set")
     p.add_argument("--property", action="append", metavar="KEY=VALUE",
                    help="edge property for --add-edge; repeatable")
     p.add_argument("--auto-create", action="store_true",
@@ -348,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except AmbiguousTargetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OgError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (OgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

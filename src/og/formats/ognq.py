@@ -36,12 +36,14 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     store = store if store is not None else Store()
     parsed: list[Statement] = []
     seen: set[Sid] = set()
+    shared: dict[Term, Term] = {}  # one object per distinct term of the document
     for lineno, line in split_lines(text):
         cur = Cursor(line, lineno)
         terms = []
         for _ in range(4):
             cur.skip_ws()
-            terms.append(scan_term(cur, ognq=True))
+            t = scan_term(cur, ognq=True)
+            terms.append(shared.setdefault(t, t))
         src, label, value, fourth = terms
         end_of_statement(cur)
         if not isinstance(fourth, SidRef):

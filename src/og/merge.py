@@ -19,7 +19,7 @@ from typing import Union
 from .errors import BadTemplateError, ParseError, SidCollisionError
 from .statements import Statement, Term, blank_labels, is_ground, referenced_sids, rename_apart, term_key
 from .store import Store
-from .terms import BlankNode, Iri, LocalId, Sid, SidRef
+from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_key
 
 
 class BlankNodePolicy(Enum):
@@ -120,11 +120,10 @@ def apply_alignment(term: Term, rules: MergeRules) -> Term:
         if isinstance(rule, ExplicitPair):
             if term == rule.old:
                 return rule.new
-        else:
-            if isinstance(term, LocalId):
-                produced = rule.apply(term)
-                if produced is not None:
-                    return produced
+        elif isinstance(term, LocalId):
+            produced = rule.apply(term)
+            if produced is not None:
+                return produced
     return term
 
 
@@ -142,11 +141,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     result = a.copy()
 
     b_statements = list(b)
-    copies: set[Sid] = set()
-    for st in b_statements:
-        existing = result.get(st.sid)
-        if existing is not None and existing == st:
-            copies.add(st.sid)
+    copies = {st.sid for st in b_statements if result.get(st.sid) == st}
 
     blank_map: dict[str, str] = {}
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
@@ -202,16 +197,13 @@ def _content_groups(store: Store) -> list[list[Sid]]:
     for st in store:
         if is_ground(st):
             groups.setdefault(st.content, []).append(st.sid)
-    return sorted(sorted(g) for g in groups.values() if len(g) > 1)
+    found = (sorted(g, key=sid_key) for g in groups.values() if len(g) > 1)
+    return sorted(found, key=lambda g: sid_key(g[0]))  # the groups are disjoint
 
 
 def _collapse_identical_content(store: Store) -> tuple[Store, int]:
     """Unify content-identical ground statements onto the least sid."""
-    sid_map: dict[Sid, Sid] = {}
-    for group in _content_groups(store):
-        survivor = group[0]
-        for loser in group[1:]:
-            sid_map[loser] = survivor
+    sid_map = {loser: group[0] for group in _content_groups(store) for loser in group[1:]}
     if not sid_map:
         return store, 0
 

@@ -21,8 +21,8 @@ def term_key(t: Term) -> tuple:
     """Sort key realizing the total order over terms.
 
     Variants rank Iri < LocalId < BlankNode < SidRef < Literal; within a
-    variant the order is lexicographic (literals by datatype IRI, then
-    lexical form, then language tag).
+    variant the order is lexicographic (sid references by integer, which is
+    their text order; literals by datatype IRI, lexical form, language tag).
     """
     if isinstance(t, Iri):
         return (0, t.text)
@@ -31,7 +31,7 @@ def term_key(t: Term) -> tuple:
     if isinstance(t, BlankNode):
         return (2, t.label)
     if isinstance(t, SidRef):
-        return (3, str(t.sid))
+        return (3, t.sid.int)
     if isinstance(t, Literal):
         return (4, t.datatype.text, t.lexical, t.language or "")
     raise TypeError(f"not a term: {t!r}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Sequence
 
 from .datatypes import Literal
@@ -40,7 +39,7 @@ from .statements import (
     _check_positions,
     term_key,
 )
-from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef
+from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef, sid_key
 
 #: Reserved label for graph-membership assertions.
 IN_GRAPH = Iri("urn:og:inGraph")
@@ -92,7 +91,7 @@ class Store:
 
     def statements(self) -> list[Statement]:
         """All statements in sid order."""
-        return [self._by_sid[s] for s in sorted(self._by_sid)]
+        return [self._by_sid[s] for s in sorted(self._by_sid, key=sid_key)]
 
     def get(self, sid: Sid) -> Statement | None:
         return self._by_sid.get(sid)
@@ -168,7 +167,8 @@ class Store:
         of ``triples``, which must be an earlier one. The whole batch is
         checked first (positions by the rule of :class:`Statement`, every
         SidRef present, every int an earlier index), so on error no sid is
-        issued and the store is unchanged. Returns the new sids.
+        issued and the store is unchanged. Equal terms of the batch are
+        stored as one object. Returns the new sids.
         """
         live = self._by_sid
         for i, (src, label, value) in enumerate(triples):
@@ -180,10 +180,11 @@ class Store:
                     absent = {r.sid for r in (src, value) if isinstance(r, SidRef)} - live.keys()
                     raise DanglingSidError(f"assertion references absent sid(s): {sorted(map(str, absent))}")
         sids: list[Sid] = []
+        shared: dict[Term, Term] = {}  # one object per distinct term of the batch
         for src, label, value in triples:
-            src = SidRef(sids[src]) if isinstance(src, int) else src
-            value = SidRef(sids[value]) if isinstance(value, int) else value
-            st = Statement(src, label, value, self.fresh_sid())
+            src = SidRef(sids[src]) if isinstance(src, int) else shared.setdefault(src, src)
+            value = SidRef(sids[value]) if isinstance(value, int) else shared.setdefault(value, value)
+            st = Statement(src, shared.setdefault(label, label), value, self.fresh_sid())
             self._install(st)
             sids.append(st.sid)
         return sids
@@ -316,19 +317,19 @@ class Store:
             return [st] if st is not None and pattern.matches(st) else []
         if pattern.src is not None and pattern.label is not None and pattern.value is not None:
             sids = _members(self._by_content, (pattern.src, pattern.label, pattern.value))
-            return [self._by_sid[s] for s in sorted(sids)]
+            return [self._by_sid[s] for s in sorted(sids, key=sid_key)]
         if isinstance(pattern.src, SidRef):
             sids = _members(self._referrers, pattern.src.sid)
         elif pattern.src is not None:
             sids = _members(self._by_src, pattern.src)
         else:
-            return sorted((st for st in self if pattern.matches(st)), key=attrgetter("sid"))
-        found = (self._by_sid[s] for s in sorted(sids))
+            return sorted((st for st in self if pattern.matches(st)), key=lambda st: sid_key(st.sid))
+        found = (self._by_sid[s] for s in sorted(sids, key=sid_key))
         return [st for st in found if pattern.matches(st)]
 
     def sids_by_content(self, src, label, value) -> list[Sid]:
         """Sids of statements with exactly this content, sorted."""
-        return sorted(_members(self._by_content, (src, label, value)))
+        return sorted(_members(self._by_content, (src, label, value)), key=sid_key)
 
     def is_node(self, term: Term) -> bool:
         """Whether the term is a source, or a non-literal value, of some

@@ -11,9 +11,12 @@ from __future__ import annotations
 import re
 import uuid
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Container
 
 Sid = uuid.UUID
+#: Sort key of sids: the integer ``UUID.__lt__`` compares, so a sort skips that call.
+sid_key = attrgetter("int")
 
 #: Reserved namespace for rendering sids as IRIs on RDF-only surfaces.
 SID_IRI_PREFIX = "urn:og:sid:"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .statements import Statement, StatementPattern, Term, is_ground, term_key
 from .store import DeletePolicy, Store
-from .terms import BlankNode, Iri, LocalId, Sid, SidRef, parse_sid_text
+from .terms import BlankNode, Iri, LocalId, Sid, SidRef, parse_sid_text, sid_key
 from .views import (
     DEFAULT_LOCAL_NS,
     LpgViewConfig,
@@ -71,7 +71,7 @@ def _matches(store: Store, spelled: list[list[Term]]) -> list[Statement]:
     sids = set()
     for content in product(*spelled):
         sids.update(store.sids_by_content(*content))
-    found = (store.get(sid) for sid in sorted(sids))
+    found = (store.get(sid) for sid in sorted(sids, key=sid_key))
     return [st for st in found if is_ground(st) and not store.hidden(st.sid)]
 
 
@@ -272,7 +272,7 @@ def lpg_set_property(
     sites = (st for t in srcs for st in store.match(StatementPattern(src=t)))
     old = [
         st
-        for st in sorted(sites, key=lambda st: st.sid)
+        for st in sorted(sites, key=lambda st: sid_key(st.sid))
         if isinstance(st.value, Literal)
         and _lpg_reading(st, cfg) in ("property", "assertion")
         and _display(st.label, cfg) == key

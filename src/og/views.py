@@ -5,6 +5,9 @@ calls over the same store yield equal results. What a view cannot express it
 either omits honestly (RDF hides statement identity, the LPG view tallies a
 ``dropped`` count) or encodes (reification, quoted triples).
 
+Within one view call each distinct local identifier is exposed, and each IRI
+displayed, once; the names live only as long as that call.
+
 Graph-membership statements (label ``urn:og:inGraph``) are carrier data for
 :func:`dataset_view` and are invisible as triples in every view, along with
 any assertion whose reference closure touches one. The store records that
@@ -82,8 +85,19 @@ def _expose(term: Term, namespace: str) -> Term:
     return term
 
 
-def _exposed_triple(st: Statement, namespace: str) -> tuple:
-    return (_expose(st.src, namespace), _expose(st.label, namespace), _expose(st.value, namespace))
+def _once_per_call(name: Callable[[Term], Any], kind: type) -> Callable[[Term], Any]:
+    """``name`` for the length of one view call: worked out once per distinct
+    term of type ``kind`` (keyed by its text), called anew on any other term."""
+    named: dict[str, Any] = {}
+
+    def once(term: Term) -> Any:
+        if type(term) is not kind:
+            return name(term)
+        if term.text not in named:
+            named[term.text] = name(term)
+        return named[term.text]
+
+    return once
 
 
 # --- shared statement analysis -------------------------------------------
@@ -130,17 +144,18 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
     """
     triples: set[tuple] = set()
     reified: set[Sid] = set()
+    expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
 
     def part(t: Term) -> Term:
         # a sid reference renders as its sid IRI; a ground target gets its
         # reification triples the first time
         if not isinstance(t, SidRef):
-            return _expose(t, namespace)
+            return expose(t)
         iri = sid_iri(t.sid)
         target = store.get(t.sid)
         if t.sid not in reified and is_ground(target):
             reified.add(t.sid)
-            s, p, o = _exposed_triple(target, namespace)
+            s, p, o = map(expose, target.content)
             triples.add((iri, RDF_TYPE, RDF_STATEMENT))
             triples.add((iri, RDF_SUBJECT, s))
             triples.add((iri, RDF_PREDICATE, p))
@@ -151,9 +166,9 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
         if store.hidden(st.sid):
             continue
         if is_ground(st):
-            triples.add(_exposed_triple(st, namespace))
+            triples.add((expose(st.src), expose(st.label), expose(st.value)))
         elif mode is RdfMode.REIFY:
-            triples.add((part(st.src), _expose(st.label, namespace), part(st.value)))
+            triples.add((part(st.src), expose(st.label), part(st.value)))
     return RdfGraph(frozenset(triples))
 
 
@@ -235,10 +250,11 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     bound = min(max_depth, sys.getrecursionlimit() // 4)
     rendered: dict[Sid, tuple] = {}
     quoted: dict[tuple, QuotedTriple] = {}
+    expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
 
     def part(t: Term):
         if not isinstance(t, SidRef):
-            return _expose(t, namespace)
+            return expose(t)
         triple = rendered[t.sid]
         if triple not in quoted:
             quoted[triple] = QuotedTriple(*triple)
@@ -249,7 +265,7 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
             continue
         if store.depth(st.sid) > bound:
             raise NestingOverflowError(f"quoted-triple nesting exceeds {bound} (e.g. statement {st.sid})")
-        rendered[st.sid] = (part(st.src), _expose(st.label, namespace), part(st.value))
+        rendered[st.sid] = (part(st.src), expose(st.label), part(st.value))
     return RdfStarGraph(frozenset(rendered.values()))
 
 
@@ -355,13 +371,7 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
     cfg = config or LpgViewConfig()
     g = LpgGraph()
     prop_site: dict[Sid, VertexProperty] = {}
-    shown: dict[str, str] = {}
-
-    def display(term: Term) -> str:
-        # an IRI's display (never empty) costs a percent round trip, so each is worked out once
-        if type(term) is not Iri:
-            return _display(term, cfg)
-        return shown.get(term.text) or shown.setdefault(term.text, _display(term, cfg))
+    display = _once_per_call(lambda t: _display(t, cfg), Iri)
 
     def vertex(term: Term) -> Vertex:
         vid = display(term)
@@ -461,14 +471,15 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
 
     default: set[tuple] = set()
     named: dict[Term, set[tuple]] = {}
+    expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
     for st in store:
         if not is_ground(st) or store.hidden(st.sid):
             continue
-        triple = _exposed_triple(st, namespace)
+        triple = (expose(st.src), expose(st.label), expose(st.value))
         graphs = memberships.get(st.sid)
         if graphs:
             for gname in graphs:
-                named.setdefault(_expose(gname, namespace), set()).add(triple)
+                named.setdefault(expose(gname), set()).add(triple)
         else:
             default.add(triple)
     return Dataset(

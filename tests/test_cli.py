@@ -188,6 +188,33 @@ class TestMutate:
         assert "error:" in captured.err
         assert not out_path.exists()
 
+    def test_delete_restrict_on_a_referenced_statement_exit_1(self, multi_file, tmp_path, capsys):
+        out_path = tmp_path / "out.ognq"
+        rc = main(
+            [
+                "mutate",
+                multi_file,
+                "--delete-triple",
+                'local:"Alice"',
+                'local:"knows"',
+                'local:"Bob"',
+                "--delete",
+                "restrict",
+                "-o",
+                str(out_path),
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "still referenced" in captured.err
+        assert not out_path.exists()
+        # without -o the store goes to standard output only on success
+        assert main(["mutate", multi_file, "--delete-triple", 'local:"Alice"', 'local:"knows"',
+                     'local:"Bob"', "--delete", "restrict"]) == 1
+        assert capsys.readouterr().out == ""
+        assert open(multi_file, encoding="utf-8").read() == MULTI_DOC
+
     def test_insert_set_existing_affects_nothing(self, toy_file, tmp_path, capsys):
         out_path = tmp_path / "out.ognq"
         rc = main(

@@ -8,7 +8,7 @@ update.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import NAMESPACES, plain_literals, spelled_stores, spelled_terms
 
@@ -17,6 +17,7 @@ from og import (
     LocalId,
     NamespaceError,
     NotFoundError,
+    QuotedTriple,
     Store,
     expose_local_as_iri,
     lpg_add_edge,
@@ -24,7 +25,9 @@ from og import (
     lpg_view,
     rdf_delete_triple,
     rdf_insert_triple,
+    rdf_star_view,
     rdf_view,
+    star_annotate,
 )
 from og.views import _expose, local_from_iri
 
@@ -74,6 +77,26 @@ def test_a_set_insert_shows_as_given_and_deletes_as_given(data, namespace):
 
     assert rdf_delete_triple(store, s, p, o, namespace=namespace) >= 1
     assert shown not in rdf_view(store, namespace=namespace).triples
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), namespace=st.sampled_from(EXPOSING))
+def test_an_annotation_of_an_inserted_triple_shows_as_one_quoting_triple(data, namespace):
+    store = data.draw(spelled_stores(namespace))
+    s = data.draw(spelled_terms(namespace))
+    p = data.draw(labels(namespace))
+    o = data.draw(st.one_of(spelled_terms(namespace), plain_literals))
+    # no spelling names urn:og:inGraph, so the annotation is no membership
+    key = data.draw(labels(namespace))
+    value = data.draw(st.one_of(spelled_terms(namespace), plain_literals))
+    shown = tuple(_expose(t, namespace) for t in (s, p, o))
+    added = (QuotedTriple(*shown), _expose(key, namespace), _expose(value, namespace))
+
+    rdf_insert_triple(store, s, p, o, namespace=namespace)
+    before = rdf_star_view(store, namespace=namespace).triples
+    assume(added not in before)
+    star_annotate(store, s, p, o, key, value, namespace=namespace)
+    assert rdf_star_view(store, namespace=namespace).triples == before | {added}
 
 
 @pytest.mark.parametrize("rest", ["a/b", "a%2fb", "%41", ""])

@@ -2,6 +2,7 @@ import uuid
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from og import (
     BlankNode,
@@ -18,6 +19,7 @@ from og import (
     term_compare,
     term_key,
 )
+from og.terms import sid_key
 from strategies import blank_nodes, iris, local_ids
 
 
@@ -113,3 +115,16 @@ class TestOrdering:
     @given(local_ids, blank_nodes)
     def test_locals_before_blanks(self, l, b):
         assert term_compare(l, b) < 0
+
+    @given(st.one_of(
+        st.lists(st.uuids(version=4)),
+        st.lists(st.integers(0, 2**128 - 1).map(lambda n: uuid.UUID(int=n))),
+        st.integers(0, 2**64).flatmap(
+            lambda start: st.permutations([uuid.UUID(int=start + i) for i in range(12)])
+        ),
+    ))
+    def test_the_sid_key_orders_as_uuids_and_as_their_text(self, sids):
+        by_key = sorted(sids, key=sid_key)
+        assert by_key == sorted(sids) == sorted(sids, key=str)
+        refs = [SidRef(s) for s in sids]
+        assert [r.sid for r in sorted(refs, key=term_key)] == by_key
