@@ -52,7 +52,8 @@ class DeletePolicy(Enum):
 
 class Store:
     """Mutable statement store with sid, content, source, node and
-    reverse-reference indexes.
+    reverse-reference indexes, and a label index that the first
+    :meth:`match` by label builds (a :meth:`copy` starts without one).
 
     Iteration yields each statement after the statements it references,
     which is not in general sid order; :meth:`statements` lists in sid order.
@@ -66,6 +67,8 @@ class Store:
         self._referrers: dict[Sid, Sid | set[Sid]] = {}
         # statements by source, for every source that is not a SidRef
         self._by_src: dict[Term, Sid | set[Sid]] = {}
+        # statements by label; None until the first match by label builds it
+        self._by_label: dict[Term, Sid | set[Sid]] | None = None
         # occurrences of each node (source, or non-literal value) of the
         # ground statements outside graph membership
         self._nodes: dict[Term, int] = {}
@@ -132,6 +135,8 @@ class Store:
         key = (src, label, value)
         if self._by_content.setdefault(key, sid) is not sid:
             _add(self._by_content, key, sid)
+        if self._by_label is not None:
+            _add(self._by_label, label, sid)
         blanks = self._blanks
         if type(src) is BlankNode:
             blanks[src.label] = blanks.get(src.label, 0) + 1
@@ -267,6 +272,8 @@ class Store:
                 if n:
                     self._blanks[t.label] = n
         _discard(self._by_content, (src, label, value), sid)
+        if self._by_label is not None:
+            _discard(self._by_label, label, sid)
         if isinstance(value, SidRef):
             _discard(self._referrers, value.sid, sid)
         if isinstance(src, SidRef):
@@ -309,8 +316,9 @@ class Store:
     def match(self, pattern: StatementPattern) -> list[Statement]:
         """Statements matching the pattern, in sid order.
 
-        Looks up by sid, by full content or by source; a pattern with only a
-        label and/or a value scans the store.
+        Looks up by sid, by full content, by source or by label; a pattern
+        with only a value scans the store. The first pattern with a label and
+        no source builds the label index in one walk of the store.
         """
         if pattern.sid is not None:
             st = self._by_sid.get(pattern.sid)
@@ -322,6 +330,13 @@ class Store:
             sids = _members(self._referrers, pattern.src.sid)
         elif pattern.src is not None:
             sids = _members(self._by_src, pattern.src)
+        elif pattern.label is not None:
+            if self._by_label is None:
+                self._by_label = {}
+                for st in self:
+                    _add(self._by_label, st.label, st.sid)
+            found = [self._by_sid[s] for s in sorted(_members(self._by_label, pattern.label), key=sid_key)]
+            return found if pattern.value is None else [st for st in found if pattern.value == st.value]
         else:
             return sorted((st for st in self if pattern.matches(st)), key=lambda st: sid_key(st.sid))
         found = (self._by_sid[s] for s in sorted(sids, key=sid_key))

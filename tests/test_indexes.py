@@ -1,10 +1,12 @@
 """The store's indexed lookups against full-scan oracles.
 
 Triple updates find their targets through the content index, vertex ids
-resolve through the node index, and ``match`` by source through the
-source and reverse-reference indexes. Each must give what a scan of every
-statement gives, in the same order and with the same chosen term, also
-when one identifier is spelled several ways in one store.
+resolve through the node index, ``match`` by source through the source and
+reverse-reference indexes, and ``match`` by label through the label index,
+which only a match by label builds and every later insert and delete keeps
+up to date. Each must give what a scan of every statement gives, in the
+same order and with the same chosen term, also when one identifier is
+spelled several ways in one store.
 """
 
 import uuid
@@ -24,13 +26,36 @@ from strategies import (
 )
 
 from og import (
+    IN_GRAPH,
+    DeletePolicy,
+    InsertSemantics,
     Iri,
     Literal,
     LocalId,
     LpgViewConfig,
+    OgError,
+    RdfMode,
     SidRef,
     StatementPattern,
     Store,
+    dataset_view,
+    lpg_add_edge,
+    lpg_set_property,
+    lpg_view,
+    merge,
+    parse_lpg_jsonl,
+    parse_ntriples,
+    parse_ognq,
+    parse_turtle_star,
+    rdf_delete_triple,
+    rdf_insert_triple,
+    rdf_star_view,
+    rdf_view,
+    serialize_lpg_jsonl,
+    serialize_ntriples,
+    serialize_ognq,
+    serialize_turtle_star,
+    star_annotate,
 )
 from og.update import _ground_matches, _vertex_terms
 from og.views import _display
@@ -116,5 +141,99 @@ def test_indexes_after_deletions_equal_a_fresh_build(data, namespace):
     store = data.draw(spelled_stores(namespace))
     fresh = Store()
     fresh.add_statements(store.statements())
-    for index in ("_by_content", "_referrers", "_by_src", "_nodes"):
+    for built in (store, fresh):
+        built.match(StatementPattern(label=IN_GRAPH))
+    for index in ("_by_content", "_referrers", "_by_src", "_nodes", "_by_label"):
         assert getattr(store, index) == getattr(fresh, index), index
+
+
+def assert_label_matches_equal_the_scan(store):
+    statements = store.statements()
+    patterns = {StatementPattern(label=LocalId("absent"))}
+    for st_ in statements:
+        patterns |= {StatementPattern(label=st_.label), StatementPattern(label=st_.label, value=st_.value)}
+    for pattern in patterns:
+        assert store.match(pattern) == oracles.pattern_matches(statements, pattern), pattern
+
+
+@st.composite
+def batches(draw, store, namespace):
+    """Triples for ``insert_new``: stored or new terms, some referring to a
+    stored statement or to an earlier triple of the batch."""
+    sids = [s.sid for s in store.statements()]
+    triples = []
+    for i in range(draw(st.integers(1, 3))):
+        refs = [SidRef(s) for s in sids] + list(range(i))
+        ref = st.sampled_from(refs) if refs else spelled_terms(namespace)
+        src = draw(st.one_of(spelled_terms(namespace), ref))
+        label = draw(position(store, namespace, lambda st_: st_.label).filter(lambda t: isinstance(t, (Iri, LocalId))))
+        value = draw(st.one_of(position(store, namespace, lambda st_: st_.value), ref))
+        triples.append((src, label, value))
+    return triples
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), namespace=st.sampled_from(EXPOSING))
+def test_label_index_upkeep_equals_the_scan(data, namespace):
+    store = data.draw(spelled_stores(namespace))
+    store.match(StatementPattern(label=LocalId("label")))
+    assert_label_matches_equal_the_scan(store)
+    cfg = LpgViewConfig(default_namespace=namespace, prefixes=PREFIXES)
+    for _ in range(data.draw(st.integers(1, 6))):
+        statements = store.statements()
+        step = data.draw(st.sampled_from(["insert", "delete", "rdf", "lpg"] if statements else ["insert"]))
+        if step == "insert":
+            store.insert_new(data.draw(batches(store, namespace)))
+        elif step == "delete":
+            store.delete_statement(data.draw(st.sampled_from(statements)).sid, DeletePolicy.CASCADE)
+        elif step == "rdf":
+            triple = data.draw(st.sampled_from(statements)).content
+            try:
+                rdf_insert_triple(store, *triple, InsertSemantics.MULTI, namespace)
+                star_annotate(store, *triple, LocalId("note"), Literal("n"), namespace=namespace)
+                rdf_delete_triple(store, *triple, namespace=namespace)
+            except OgError:
+                pass  # a triple with a sid reference has no ground statement
+        else:
+            src = data.draw(st.sampled_from(statements)).src
+            vertex = "_:new" if isinstance(src, SidRef) else _display(src, cfg)
+            try:
+                lpg_add_edge(store, vertex, "_:new", "met", {"w": 1}, auto_create=True, config=cfg)
+                lpg_set_property(store, vertex, data.draw(st.sampled_from(["label", "w", "name"])), 7, cfg)
+            except OgError:
+                pass  # the source is no vertex of the view
+        assert_label_matches_equal_the_scan(store)
+
+
+def test_only_a_match_by_label_builds_the_label_index(multi_edge_store):
+    """Loading, viewing, merging and updating a store leave it without a
+    label index, so their memory does not grow by one."""
+    store = multi_edge_store
+    alice, knows, bob = store.statements()[0].content
+    edge = store.statements()[0].sid
+    store.set_graph_membership(edge, Iri("urn:g:one"))
+    texts = {
+        parse_ognq: serialize_ognq(store),
+        parse_ntriples: serialize_ntriples(rdf_view(store)),
+        parse_turtle_star: serialize_turtle_star(rdf_star_view(store)),
+        parse_lpg_jsonl: serialize_lpg_jsonl(lpg_view(store)),
+    }
+    # a parse into a copy of the store appends to it, except OG-NQ's, whose sids it holds
+    built = [parse(text) for parse, text in texts.items()]
+    built += [parse(text, store.copy()) for parse, text in texts.items() if parse is not parse_ognq]
+    built += [store.copy(), merge(store, built[0])[0]]
+    rdf_view(store, RdfMode.REIFY)
+    dataset_view(store)
+    store.list_graphs()
+    rdf_insert_triple(store, alice, knows, LocalId("Carol"))
+    star_annotate(store, alice, knows, bob, LocalId("note"), Literal("n"))
+    rdf_delete_triple(store, alice, knows, LocalId("Carol"))
+    lpg_add_edge(store, "Alice", "Dave", "met", {"w": 1}, auto_create=True)
+    lpg_set_property(store, "Alice", "name", "Al")
+    lpg_set_property(store, edge, "since", 2019)
+    store.match(StatementPattern(src=alice))
+    store.delete_statement(edge)
+    # nothing drops a built index, so one look at the end covers every step
+    assert all(s._by_label is None for s in built + [store])
+    store.match(StatementPattern(label=knows))
+    assert store._by_label is not None and store.copy()._by_label is None

@@ -3,7 +3,9 @@
 On a store of 200 statements, every update entry point and ``match`` by
 source run with ``Store.statements`` made to raise and the sid index made to
 refuse a walk, so an operation that falls back to a full scan fails here
-instead of only getting slower as the store grows.
+instead of only getting slower as the store grows. Once one match by label
+has built the label index, ``match`` by label, with or without a value, and
+every update entry point after it run under the same guard.
 """
 
 import pytest
@@ -41,7 +43,7 @@ class _NoWalk(dict):
 
 
 @pytest.fixture
-def store(monkeypatch):
+def store(request, monkeypatch):
     store = Store(seed=0)
     for i in range(VERTICES):
         v, w = LocalId(f"v{i}"), LocalId(f"v{(i + 1) % VERTICES}")
@@ -51,6 +53,8 @@ def store(monkeypatch):
         store.insert_assertion(SidRef(edge), LocalId("since"), Literal(str(2000 + i), XSD_INTEGER))
         store.insert_ground(Iri(f"urn:og:local:v{i}"), LocalId("likes"), w)
     assert len(store) == 5 * VERTICES
+    if getattr(request, "param", None) == "label-indexed":
+        assert len(store.match(StatementPattern(label=KNOWS))) == VERTICES
 
     def refuse(self):
         raise AssertionError("Store.statements called")
@@ -110,3 +114,26 @@ def test_match_by_source(store):
     edge = store.match(StatementPattern(src=LocalId("v4"), label=KNOWS))[0].sid
     assert len(store.match(StatementPattern(src=SidRef(edge)))) == 1
     assert store.match(StatementPattern(src=LocalId("nobody"))) == []
+
+
+# the first match by label walks the store to build the index, in the fixture
+@pytest.mark.parametrize("store", ["label-indexed"], indirect=True)
+def test_match_by_label(store):
+    assert len(store.match(StatementPattern(label=NAME))) == VERTICES
+    assert store.match(StatementPattern(label=NAME, value=Literal("n7")))[0].src == LocalId("v7")
+    assert store.match(StatementPattern(label=LocalId("nothing"))) == []
+    edge = store.match(StatementPattern(label=KNOWS, value=LocalId("v3")))[0].sid
+    assert rdf_delete_triple(store, LocalId("v2"), KNOWS, LocalId("v3")) == 2
+    assert rdf_insert_triple(store, LocalId("v2"), KNOWS, LocalId("v4")) is not None
+    assert len(star_annotate(store, LocalId("v5"), KNOWS, LocalId("v6"), LocalId("since"), Literal("y"))) == 1
+    met = lpg_add_edge(store, "v1", "v9", "met")
+    lpg_set_property(store, "v8", "name", "Vee")
+    lpg_set_property(store, met, "since", 1999)
+    store.delete_statement(store.match(StatementPattern(label=LocalId("likes"), value=LocalId("v1")))[0].sid)
+    assert store.match(StatementPattern(label=KNOWS, value=LocalId("v3"))) == []
+    assert len(store.match(StatementPattern(label=KNOWS))) == VERTICES
+    assert len(store.match(StatementPattern(label=LocalId("likes")))) == VERTICES - 1
+    since = store.match(StatementPattern(label=LocalId("since")))
+    assert edge not in {st.src.sid for st in since} and met in {st.src.sid for st in since}
+    assert len(since) == VERTICES + 1
+    assert len(store.match(StatementPattern(label=NAME, value=Literal("Vee")))) == 1
