@@ -20,6 +20,7 @@ whether the views hide a statement (:meth:`Store.hidden`) and its depth.
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 from enum import Enum
 from typing import Iterable, Iterator, KeysView, Sequence
 
@@ -39,7 +40,7 @@ from .statements import (
     _check_positions,
     term_key,
 )
-from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef, sid_key
+from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef
 
 #: Reserved label for graph-membership assertions.
 IN_GRAPH = Iri("urn:og:inGraph")
@@ -57,26 +58,29 @@ class Store:
 
     Iteration yields each statement after the statements it references,
     which is not in general sid order; :meth:`statements` lists in sid order.
+
+    The indexes hold each sid as its integer, so no lookup by sid calls
+    ``UUID.__hash__``; the public methods take and return ``UUID`` sids.
     """
 
     def __init__(self, seed: int | None = None):
-        self._by_sid: dict[Sid, Statement] = {}
+        self._by_sid: dict[int, Statement] = {}
         # Group indexes: each maps a key to its one member, or to a set of
         # two or more (see _add).
-        self._by_content: dict[tuple, Sid | set[Sid]] = {}
-        self._referrers: dict[Sid, Sid | set[Sid]] = {}
+        self._by_content: dict[tuple, int | set[int]] = {}
+        self._referrers: dict[int, int | set[int]] = {}
         # statements by source, for every source that is not a SidRef
-        self._by_src: dict[Term, Sid | set[Sid]] = {}
+        self._by_src: dict[Term, int | set[int]] = {}
         # statements by label; None until the first match by label builds it
-        self._by_label: dict[Term, Sid | set[Sid]] | None = None
+        self._by_label: dict[Term, int | set[int]] | None = None
         # occurrences of each node (source, or non-literal value) of the
         # ground statements outside graph membership
         self._nodes: dict[Term, int] = {}
         # occurrences of each blank label in source or value position
         self._blanks: dict[str, int] = {}
         # each assertion's quoting depth; the sids hidden from the views
-        self._depth: dict[Sid, int] = {}
-        self._hidden: set[Sid] = set()
+        self._depth: dict[int, int] = {}
+        self._hidden: set[int] = set()
         self._sids = SidFactory(seed)
 
     # --- basics ---------------------------------------------------------
@@ -85,7 +89,7 @@ class Store:
         return len(self._by_sid)
 
     def __contains__(self, sid: Sid) -> bool:
-        return sid in self._by_sid
+        return _key(sid) in self._by_sid
 
     def __iter__(self) -> Iterator[Statement]:
         """Each statement after the statements it references; the store must
@@ -94,26 +98,26 @@ class Store:
 
     def statements(self) -> list[Statement]:
         """All statements in sid order."""
-        return [self._by_sid[s] for s in sorted(self._by_sid, key=sid_key)]
+        return [self._by_sid[s] for s in sorted(self._by_sid)]
 
     def get(self, sid: Sid) -> Statement | None:
-        return self._by_sid.get(sid)
+        return self._by_sid.get(_key(sid))
 
     def fresh_sid(self) -> Sid:
         """A sid unique for this store's lifetime (never recycled)."""
-        return self._sids.fresh(self._by_sid)
+        return self._sids.fresh(taken=self._by_sid)
 
     def referrers(self, sid: Sid) -> set[Sid]:
         """Sids of assertions that reference the given sid directly."""
-        return set(_members(self._referrers, sid))
+        return {self._by_sid[r].sid for r in _members(self._referrers, _key(sid))}
 
     def depth(self, sid: Sid) -> int:
         """0 for a ground statement, else one more than its deepest reference."""
-        return self._depth.get(sid, 0)
+        return self._depth.get(_key(sid), 0)
 
     def hidden(self, sid: Sid) -> bool:
         """Whether the statement is a membership or references a hidden one."""
-        return sid in self._hidden
+        return _key(sid) in self._hidden
 
     def blank_labels(self) -> KeysView[str]:
         """Labels of the blank nodes in source or value position (a live view)."""
@@ -130,7 +134,7 @@ class Store:
 
     def _install(self, st: Statement) -> None:
         # the hot path of every load: _add's common case (a new key) and the node counts are inlined
-        sid, src, label, value = st.sid, st.src, st.label, st.value
+        sid, src, label, value = st.sid.int, st.src, st.label, st.value
         self._by_sid[sid] = st
         key = (src, label, value)
         if self._by_content.setdefault(key, sid) is not sid:
@@ -143,7 +147,7 @@ class Store:
         if type(value) is BlankNode:
             blanks[value.label] = blanks.get(value.label, 0) + 1
         if isinstance(src, SidRef) or isinstance(value, SidRef):
-            self._install_assertion(st)
+            self._install_assertion(st, sid)
             return
         if self._by_src.setdefault(src, sid) is not sid:
             _add(self._by_src, src, sid)
@@ -155,15 +159,15 @@ class Store:
         if not isinstance(value, Literal):
             nodes[value] = nodes.get(value, 0) + 1
 
-    def _install_assertion(self, st: Statement) -> None:
-        refs = [t.sid for t in (st.src, st.value) if isinstance(t, SidRef)]
+    def _install_assertion(self, st: Statement, sid: int) -> None:
+        refs = [t.sid.int for t in (st.src, st.value) if isinstance(t, SidRef)]
         for r in refs:
-            _add(self._referrers, r, st.sid)
+            _add(self._referrers, r, sid)
         if not isinstance(st.src, SidRef):
-            _add(self._by_src, st.src, st.sid)
-        self._depth[st.sid] = 1 + max(self._depth.get(r, 0) for r in refs)
+            _add(self._by_src, st.src, sid)
+        self._depth[sid] = 1 + max(self._depth.get(r, 0) for r in refs)
         if _is_membership(st.label) or not self._hidden.isdisjoint(refs):
-            self._hidden.add(st.sid)
+            self._hidden.add(sid)
 
     def insert_new(self, triples: Sequence[tuple]) -> list[Sid]:
         """Insert one statement per (src, label, value) under fresh sids, in order.
@@ -181,9 +185,9 @@ class Store:
             for t in (src, value):
                 if isinstance(t, int) and not 0 <= t < i:
                     raise DanglingSidError(f"triple {i} refers to triple {t}, not an earlier one")
-                if isinstance(t, SidRef) and t.sid not in live:
-                    absent = {r.sid for r in (src, value) if isinstance(r, SidRef)} - live.keys()
-                    raise DanglingSidError(f"assertion references absent sid(s): {sorted(map(str, absent))}")
+                if isinstance(t, SidRef) and _key(t.sid) not in live:
+                    absent = {str(r.sid) for r in (src, value) if isinstance(r, SidRef) and _key(r.sid) not in live}
+                    raise DanglingSidError(f"assertion references absent sid(s): {sorted(absent)}")
         sids: list[Sid] = []
         shared: dict[Term, Term] = {}  # one object per distinct term of the batch
         for src, label, value in triples:
@@ -218,41 +222,43 @@ class Store:
         DanglingSidError when references cannot be resolved (absent or
         cyclic). Atomic: on error the store is left unchanged.
         """
-        batch: dict[Sid, Statement] = {}
+        live = self._by_sid
+        batch: dict[int, Statement] = {}
         for st in statements:
-            if st.sid in self._by_sid or st.sid in batch:
+            sid = st.sid.int
+            if sid in live or sid in batch:
                 raise SidCollisionError(f"sid already present: {st.sid}")
-            batch[st.sid] = st
+            batch[sid] = st
         # Kahn's order over the references into the batch, before touching
         # the store. A statement goes in at its own place in the batch unless
         # it waits for a later one, so a batch in reference order keeps it.
         ordered: list[Statement] = []
-        placed: set[Sid] = set()
-        waiting: dict[Sid, list[Statement]] = {}
-        blocked: dict[Sid, int] = {}
-        for st in batch.values():
+        placed: set[int] = set()
+        waiting: dict[int, list[Statement]] = {}
+        blocked: dict[int, int] = {}
+        for sid, st in batch.items():
             refs = [
-                t.sid
+                r
                 for t in (st.src, st.value)
-                if isinstance(t, SidRef) and t.sid not in self._by_sid and t.sid not in placed
+                if isinstance(t, SidRef) and (r := _key(t.sid)) not in live and r not in placed
             ]
             if refs:
-                blocked[st.sid] = len(refs)
+                blocked[sid] = len(refs)
                 for r in refs:
                     waiting.setdefault(r, []).append(st)
                 continue
             ordered.append(st)
-            placed.add(st.sid)
-            ready = waiting.pop(st.sid, None) if waiting else None
+            placed.add(sid)
+            ready = waiting.pop(sid, None) if waiting else None
             while ready:
-                later = ready.pop()
-                blocked[later.sid] -= 1
-                if not blocked[later.sid]:
-                    ordered.append(later)
-                    placed.add(later.sid)
-                    ready.extend(waiting.pop(later.sid, ()))
+                later = ready.pop().sid.int
+                blocked[later] -= 1
+                if not blocked[later]:
+                    ordered.append(batch[later])
+                    placed.add(later)
+                    ready.extend(waiting.pop(later, ()))
         if len(ordered) < len(batch):
-            bad = sorted(str(sid) for sid, n in blocked.items() if n)
+            bad = sorted(str(batch[sid].sid) for sid, n in blocked.items() if n)
             raise DanglingSidError(f"unresolvable references (absent or cyclic) from: {bad}")
         for st in ordered:
             self._install(st)
@@ -260,9 +266,9 @@ class Store:
     # --- deletion -------------------------------------------------------
 
     def _uninstall(self, st: Statement) -> None:
-        sid, src, label, value = st.sid, st.src, st.label, st.value
+        sid, src, label, value = st.sid.int, st.src, st.label, st.value
         del self._by_sid[sid]
-        self._sids.reserve(sid)
+        self._sids.reserve(st.sid)
         self._referrers.pop(sid, None)
         self._depth.pop(sid, None)
         self._hidden.discard(sid)
@@ -275,9 +281,9 @@ class Store:
         if self._by_label is not None:
             _discard(self._by_label, label, sid)
         if isinstance(value, SidRef):
-            _discard(self._referrers, value.sid, sid)
+            _discard(self._referrers, value.sid.int, sid)
         if isinstance(src, SidRef):
-            _discard(self._referrers, src.sid, sid)
+            _discard(self._referrers, src.sid.int, sid)
             return
         _discard(self._by_src, src, sid)
         if isinstance(value, SidRef) or _is_membership(label):
@@ -293,15 +299,16 @@ class Store:
         CASCADE removes the transitive closure of statements referencing it;
         RESTRICT refuses (ReferencedSidError) while any reference remains.
         """
-        if sid not in self._by_sid:
+        key = _key(sid)
+        if key not in self._by_sid:
             raise NotFoundError(f"no statement with sid {sid}")
         if policy is DeletePolicy.RESTRICT:
-            if sid in self._referrers:
+            if key in self._referrers:
                 raise ReferencedSidError(f"sid {sid} is still referenced")
-            self._uninstall(self._by_sid[sid])
+            self._uninstall(self._by_sid[key])
             return 1
-        closure = {sid}
-        queue = [sid]
+        closure = {key}
+        queue = [key]
         while queue:
             for r in _members(self._referrers, queue.pop()):
                 if r not in closure:
@@ -321,30 +328,30 @@ class Store:
         no source builds the label index in one walk of the store.
         """
         if pattern.sid is not None:
-            st = self._by_sid.get(pattern.sid)
-            return [st] if st is not None and pattern.matches(st) else []
+            st = self.get(pattern.sid)  # by the sid's integer: match the rest without UUID.__eq__
+            return [st] if st is not None and replace(pattern, sid=None).matches(st) else []
         if pattern.src is not None and pattern.label is not None and pattern.value is not None:
             sids = _members(self._by_content, (pattern.src, pattern.label, pattern.value))
-            return [self._by_sid[s] for s in sorted(sids, key=sid_key)]
+            return [self._by_sid[s] for s in sorted(sids)]
         if isinstance(pattern.src, SidRef):
-            sids = _members(self._referrers, pattern.src.sid)
+            sids = _members(self._referrers, _key(pattern.src.sid))
         elif pattern.src is not None:
             sids = _members(self._by_src, pattern.src)
         elif pattern.label is not None:
             if self._by_label is None:
                 self._by_label = {}
                 for st in self:
-                    _add(self._by_label, st.label, st.sid)
-            found = [self._by_sid[s] for s in sorted(_members(self._by_label, pattern.label), key=sid_key)]
+                    _add(self._by_label, st.label, st.sid.int)
+            found = [self._by_sid[s] for s in sorted(_members(self._by_label, pattern.label))]
             return found if pattern.value is None else [st for st in found if pattern.value == st.value]
         else:
-            return sorted((st for st in self if pattern.matches(st)), key=lambda st: sid_key(st.sid))
-        found = (self._by_sid[s] for s in sorted(sids, key=sid_key))
+            sids = self._by_sid
+        found = (self._by_sid[s] for s in sorted(sids))
         return [st for st in found if pattern.matches(st)]
 
     def sids_by_content(self, src, label, value) -> list[Sid]:
         """Sids of statements with exactly this content, sorted."""
-        return sorted(_members(self._by_content, (src, label, value)), key=sid_key)
+        return [self._by_sid[s].sid for s in sorted(_members(self._by_content, (src, label, value)))]
 
     def is_node(self, term: Term) -> bool:
         """Whether the term is a source, or a non-literal value, of some
@@ -361,7 +368,7 @@ class Store:
         """
         if not isinstance(graph, (Iri, LocalId)):
             raise PositionError("graph names must be IRIs or local identifiers")
-        if sid not in self._by_sid:
+        if sid not in self:
             raise NotFoundError(f"no statement with sid {sid}")
         existing = self.sids_by_content(SidRef(sid), IN_GRAPH, graph)
         if existing:
@@ -376,6 +383,11 @@ class Store:
             if st.label == IN_GRAPH and isinstance(st.value, (Iri, LocalId))
         }
         return sorted(graphs, key=term_key)
+
+
+def _key(sid) -> int | None:
+    """A sid's index key, its integer; None, which no index holds, for a non-sid."""
+    return sid.int if isinstance(sid, Sid) else None
 
 
 def _is_membership(label: Term) -> bool:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Container
 
 Sid = uuid.UUID
-#: Sort key of sids: the integer ``UUID.__lt__`` compares, so a sort skips that call.
+#: Sort key of sids: the integer ``UUID.__lt__`` compares (and the store's indexes hold).
 sid_key = attrgetter("int")
 
 #: Reserved namespace for rendering sids as IRIs on RDF-only surfaces.
@@ -104,15 +104,15 @@ class SidFactory:
     Random (uuid4) by default. With a seed, sids are sequential starting at
     seed+1 so runs are reproducible; seed 0 issues
     00000000-0000-0000-0000-000000000001 first. :meth:`fresh` skips the sids
-    its caller still holds (a store passes its live sids) and the reserved
-    ones (a store reserves the sids of deleted statements), so a sid is
-    never reused after deletion and a seeded counter never re-issues an
-    identifier loaded from a file.
+    its caller still holds (``live``, or their integers ``taken``: a store
+    passes its sid index) and the reserved ones (integers; a store reserves
+    the sids of deleted statements), so a sid is never reused after deletion
+    and a seeded counter never re-issues an identifier loaded from a file.
     """
 
     def __init__(self, seed: int | None = None):
         self._counter = seed
-        self._reserved: set[Sid] = set()
+        self._reserved: set[int] = set()
 
     @property
     def seeded(self) -> bool:
@@ -124,14 +124,14 @@ class SidFactory:
         return out
 
     def reserve(self, sid: Sid) -> None:
-        self._reserved.add(sid)
+        self._reserved.add(sid.int)
 
-    def fresh(self, live: Container[Sid] = ()) -> Sid:
+    def fresh(self, live: Container[Sid] = (), taken: Container[int] = ()) -> Sid:
         while True:
             if self._counter is None:
                 sid = uuid.uuid4()
             else:
                 self._counter += 1
                 sid = uuid.UUID(int=self._counter)
-            if sid not in live and sid not in self._reserved:
+            if sid.int not in taken and sid.int not in self._reserved and sid not in live:
                 return sid

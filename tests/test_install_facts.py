@@ -26,7 +26,8 @@ def assert_facts_match_oracles(store: Store) -> None:
     for st in statements:
         assert store.depth(st.sid) == depth[st.sid], st
         assert store.hidden(st.sid) == (st.sid in hidden), st
-    live = {st.sid for st in statements}
+    # the store's tables key a sid by its integer
+    live = {st.sid.int for st in statements}
     assert store._depth.keys() <= live and store._hidden <= live
     assert set(store.blank_labels()) == blank_labels(statements)
 
@@ -53,7 +54,7 @@ def test_cascade_delete_drops_a_hidden_chain():
     assert store.delete_statement(member, DeletePolicy.CASCADE) == 5
     assert [st.sid for st in store] == [edge]
     for s in chain + [pair]:
-        assert s not in store._depth and s not in store._hidden
+        assert s.int not in store._depth and s.int not in store._hidden
     assert store.depth(edge) == 0 and not store.hidden(edge)
     assert_facts_match_oracles(store)
 
