@@ -63,7 +63,7 @@ from .merge import (
     load_rules,
     merge,
 )
-from .statements import Statement, StatementPattern, is_ground, referenced_sids, term_compare, term_key
+from .statements import Statement, StatementPattern, is_ground, referenced_sids, term_key
 from .store import IN_GRAPH, DeletePolicy, Store
 from .terms import (
     SID_IRI_PREFIX,

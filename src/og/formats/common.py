@@ -11,6 +11,7 @@ rule and the renaming of blank labels apart from a store's.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from ..datatypes import (
     LANG_TAG,
@@ -33,7 +34,6 @@ from ..terms import (
     LocalId,
     SidRef,
     sid_from_iri_text,
-    sid_iri,
 )
 
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -253,7 +253,7 @@ def render_term(t: Term, *, ognq: bool = False) -> str:
     if isinstance(t, SidRef):
         if not ognq:
             raise ValueError("sid references are not representable in this format")
-        return f"<{sid_iri(t.sid).text}>"
+        return f"<{SID_IRI_PREFIX}{t.sid}>"
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
     if isinstance(t, LocalId):
@@ -268,6 +268,22 @@ def render_term(t: Term, *, ognq: bool = False) -> str:
             return body
         return f"{body}^^<{escape_iri(t.datatype.text)}>"
     raise ValueError(f"not a term: {t!r}")
+
+
+def term_renderer(*, ognq: bool = False) -> Callable[[Term], str]:
+    """:func:`render_term` for the length of one serializer call: each
+    distinct term object is rendered once. The memo is keyed by ``id``, so
+    it holds only while the caller holds every term it renders (the store
+    or graph being serialized does); nothing is stored when rendering fails."""
+    memo: dict[int, str] = {}
+
+    def render(t: Term) -> str:
+        text = memo.get(id(t))
+        if text is None:
+            text = memo[id(t)] = render_term(t, ognq=ognq)
+        return text
+
+    return render
 
 
 def store_renames(store: Store, labels: set[str]) -> dict[str, str]:

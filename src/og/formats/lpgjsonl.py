@@ -194,6 +194,7 @@ def _one_site(site: VertexProperty):
 
 def serialize_lpg_jsonl(graph: LpgGraph) -> str:
     """One JSON line per vertex, then per edge, in view order."""
+    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
     lines = []
     for vid, v in graph.vertices.items():
         obj: dict = {"type": "vertex", "id": vid, "labels": list(v.labels)}
@@ -201,12 +202,12 @@ def serialize_lpg_jsonl(graph: LpgGraph) -> str:
             obj["properties"] = {
                 k: _wrap_values([_one_site(s) for s in sites]) for k, sites in v.properties.items()
             }
-        lines.append(json.dumps(obj, ensure_ascii=False, allow_nan=False))
+        lines.append(encode(obj))
     for sid, e in graph.edges.items():
         obj = {"type": "edge", "id": sid_text(sid), "label": e.label, "from": e.source, "to": e.target}
         if e.properties:
             obj["properties"] = {
                 k: _wrap_values([_check_finite(v) for v in vs]) for k, vs in e.properties.items()
             }
-        lines.append(json.dumps(obj, ensure_ascii=False, allow_nan=False))
+        lines.append(encode(obj))
     return "".join(line + "\n" for line in lines)

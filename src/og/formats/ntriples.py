@@ -16,10 +16,10 @@ from .common import (
     Cursor,
     _renamed,
     end_of_statement,
-    render_term,
     scan_term,
     split_lines,
     store_renames,
+    term_renderer,
 )
 
 
@@ -52,8 +52,7 @@ def parse_ntriples(text: str, store: Store | None = None) -> Store:
 
 
 def serialize_ntriples(graph: RdfGraph) -> str:
-    """Canonical N-Triples for a plain-RDF view, sorted, one triple per line."""
-    lines = []
-    for s, p, o in graph.sorted():
-        lines.append(f"{render_term(s)} {render_term(p)} {render_term(o)} .")
-    return "".join(line + "\n" for line in lines)
+    """Canonical N-Triples for a plain-RDF view, sorted, one triple per line;
+    each distinct term is rendered once per call."""
+    render = term_renderer()
+    return "".join(f"{render(s)} {render(p)} {render(o)} .\n" for s, p, o in graph.sorted())

@@ -14,15 +14,15 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..statements import Statement, Term, blank_labels
 from ..store import Store
-from ..terms import Sid, SidRef, sid_iri
+from ..terms import SID_IRI_PREFIX, Sid, SidRef
 from .common import (
     Cursor,
     _renamed,
     end_of_statement,
-    render_term,
     scan_term,
     split_lines,
     store_renames,
+    term_renderer,
 )
 
 
@@ -63,15 +63,17 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     return store
 
 
-def render_statement(st: Statement) -> str:
-    parts = [render_term(t, ognq=True) for t in st.content]
-    parts.append(f"<{sid_iri(st.sid).text}>")
-    return " ".join(parts) + " ."
-
-
 def serialize_ognq(store: Store) -> str:
-    """One line per statement in sid order; inverse of :func:`parse_ognq`."""
-    return "".join(render_statement(st) + "\n" for st in store.statements())
+    """One line per statement in sid order; inverse of :func:`parse_ognq`.
+
+    Each distinct term other than a sid reference is rendered once per call."""
+    render = term_renderer(ognq=True)
+
+    def token(t: Term) -> str:
+        return f"<{SID_IRI_PREFIX}{t.sid}>" if type(t) is SidRef else render(t)
+
+    return "".join(f"{token(st.src)} {render(st.label)} {token(st.value)} <{SID_IRI_PREFIX}{st.sid}> .\n"
+                   for st in store.statements())
 
 
 def parse_term_text(token: str) -> Term:

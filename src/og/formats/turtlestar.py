@@ -315,11 +315,10 @@ def _render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
 
 
 def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
-    """Text of one node, rendered once per ``memo``: a quoted triple from
-    its parts' text, memoized by identity, which equality would recurse to
-    reach."""
-    key = id(t) if isinstance(t, QuotedTriple) else t
-    text = memo.get(key)
+    """Text of one node, rendered once per distinct object and ``memo``,
+    which is keyed by ``id`` and so holds only while the graph lives; a
+    quoted triple's from its parts' text."""
+    text = memo.get(id(t))
     if text is not None:
         return text
     if isinstance(t, QuotedTriple):
@@ -337,7 +336,7 @@ def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
         raise ValueError("local identifiers must be exposed before serialization")
     else:
         raise ValueError(f"not serializable here: {t!r}")
-    memo[key] = text
+    memo[id(t)] = text
     return text
 
 

@@ -37,11 +37,6 @@ def term_key(t: Term) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_compare(a: Term, b: Term) -> int:
-    ka, kb = term_key(a), term_key(b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
 def _check_positions(src, label, value, where: str) -> None:
     if src is not None and isinstance(src, Literal):
         raise PositionError(f"{where}: a literal cannot be a statement source")

@@ -131,7 +131,10 @@ class SidFactory:
             if self._counter is None:
                 sid = uuid.uuid4()
             else:
+                # walk on integers: only a free one becomes a UUID
                 self._counter += 1
+                if self._counter in taken or self._counter in self._reserved:
+                    continue
                 sid = uuid.UUID(int=self._counter)
             if sid.int not in taken and sid.int not in self._reserved and sid not in live:
                 return sid

@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import product
 
-from .datatypes import Literal, coerce_lpg_value
+from .datatypes import RDF_LANG_STRING, XSD_STRING, Literal, coerce_lpg_value
 from .errors import (
     AmbiguousTargetError,
     NotFoundError,
@@ -254,11 +254,18 @@ def lpg_set_property(
     cascade, taking its meta along) before the one new statement goes in,
     under the first one's label. Vertices are addressed by vertex id, edges
     by sid or canonical sid text (:func:`~og.terms.sid_text`). The value
-    and key are checked before anything is deleted.
+    and key are checked before anything is deleted. On a vertex, a key that
+    displays as a label predicate (``label``, or ``rdf:type`` as the
+    configuration shows it) takes no string value, which the view would
+    read as a vertex label: UnsupportedValueError.
     """
     cfg = config or LpgViewConfig()
     value = _as_literal(value)
     srcs = _vertex_terms(store, element, cfg) if isinstance(element, str) else []
+    if srcs and value.datatype in (XSD_STRING, RDF_LANG_STRING) and key in {
+        _display(t, cfg) for t in cfg.label_predicates
+    }:
+        raise UnsupportedValueError(f"a string under {key!r} would read as a vertex label")
     if not srcs:
         if isinstance(element, str):
             try:

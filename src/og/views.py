@@ -143,7 +143,7 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
     triple per assertion with sid references rendered as sid IRIs.
     """
     triples: set[tuple] = set()
-    reified: set[Sid] = set()
+    iris: dict[int, Iri] = {}  # by sid integer
     expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
 
     def part(t: Term) -> Term:
@@ -151,10 +151,12 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
         # reification triples the first time
         if not isinstance(t, SidRef):
             return expose(t)
-        iri = sid_iri(t.sid)
+        iri = iris.get(t.sid.int)
+        if iri is not None:
+            return iri
+        iri = iris[t.sid.int] = sid_iri(t.sid)
         target = store.get(t.sid)
-        if t.sid not in reified and is_ground(target):
-            reified.add(t.sid)
+        if is_ground(target):
             s, p, o = map(expose, target.content)
             triples.add((iri, RDF_TYPE, RDF_STATEMENT))
             triples.add((iri, RDF_SUBJECT, s))
@@ -248,14 +250,14 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     of nesting. Hashing does not; it is cached at construction.
     """
     bound = min(max_depth, sys.getrecursionlimit() // 4)
-    rendered: dict[Sid, tuple] = {}
+    rendered: dict[int, tuple] = {}  # by sid integer
     quoted: dict[tuple, QuotedTriple] = {}
     expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
 
     def part(t: Term):
         if not isinstance(t, SidRef):
             return expose(t)
-        triple = rendered[t.sid]
+        triple = rendered[t.sid.int]
         if triple not in quoted:
             quoted[triple] = QuotedTriple(*triple)
         return quoted[triple]
@@ -265,7 +267,7 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
             continue
         if store.depth(st.sid) > bound:
             raise NestingOverflowError(f"quoted-triple nesting exceeds {bound} (e.g. statement {st.sid})")
-        rendered[st.sid] = (part(st.src), expose(st.label), part(st.value))
+        rendered[st.sid.int] = (part(st.src), expose(st.label), part(st.value))
     return RdfStarGraph(frozenset(rendered.values()))
 
 
@@ -370,7 +372,7 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
     """
     cfg = config or LpgViewConfig()
     g = LpgGraph()
-    prop_site: dict[Sid, VertexProperty] = {}
+    site_of: dict[int, Edge | VertexProperty] = {}  # edges and property sites, by sid integer
     display = _once_per_call(lambda t: _display(t, cfg), Iri)
 
     def vertex(term: Term) -> Vertex:
@@ -400,22 +402,23 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
         elif reading == "property":
             site = VertexProperty(coerce_to_lpg(st.value, g.coercion))
             v.properties.setdefault(display(st.label), []).append(site)
-            prop_site[st.sid] = site
+            site_of[st.sid.int] = site
         else:
             vertex(st.value)
-            g.edges[st.sid] = Edge(display(st.src), display(st.value), display(st.label))
+            edge = Edge(display(st.src), display(st.value), display(st.label))
+            g.edges[st.sid] = site_of[st.sid.int] = edge
 
     for st in assertions:
         if isinstance(st.src, SidRef) and isinstance(st.value, Literal):
-            target = st.src.sid
-            if target in g.edges:
-                g.edges[target].properties.setdefault(display(st.label), []).append(
+            site = site_of.get(st.src.sid.int)
+            if isinstance(site, Edge):
+                site.properties.setdefault(display(st.label), []).append(
                     coerce_to_lpg(st.value, g.coercion)
                 )
                 continue
-            if target in prop_site:
+            if site is not None:
                 if cfg.expose_meta_properties:
-                    prop_site[target].meta.setdefault(display(st.label), []).append(
+                    site.meta.setdefault(display(st.label), []).append(
                         coerce_to_lpg(st.value, g.coercion)
                     )
                 else:
@@ -458,7 +461,7 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     statements themselves appear in no graph; memberships of memberships are
     ignored outright.
     """
-    memberships: dict[Sid, set[Term]] = {}
+    memberships: dict[int, set[Term]] = {}  # by sid integer
     for st in store:
         if st.label != IN_GRAPH or not isinstance(st.src, SidRef):
             continue
@@ -467,7 +470,7 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
         target = store.get(st.src.sid)
         if target is None or target.label == IN_GRAPH:
             continue
-        memberships.setdefault(st.src.sid, set()).add(st.value)
+        memberships.setdefault(st.src.sid.int, set()).add(st.value)
 
     default: set[tuple] = set()
     named: dict[Term, set[tuple]] = {}
@@ -476,7 +479,7 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
         if not is_ground(st) or store.hidden(st.sid):
             continue
         triple = (expose(st.src), expose(st.label), expose(st.value))
-        graphs = memberships.get(st.sid)
+        graphs = memberships.get(st.sid.int)
         if graphs:
             for gname in graphs:
                 named.setdefault(expose(gname), set()).add(triple)

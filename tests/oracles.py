@@ -7,6 +7,8 @@ to audit by eye, which is the whole point.
 
 from __future__ import annotations
 
+import json
+
 from og import (
     IN_GRAPH,
     Iri,
@@ -19,7 +21,9 @@ from og import (
     sid_iri,
     term_key,
 )
-from og.views import _display
+from og.formats.common import bare_literal, render_term
+from og.terms import sid_key
+from og.views import QuotedTriple, _display
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -258,3 +262,72 @@ def vertex_candidates(statements, cfg):
 def pattern_matches(statements, pattern):
     """Expected Store.match result: the matching statements, in the order given."""
     return [st for st in statements if pattern.matches(st)]
+
+
+# --- serialized text: every occurrence rendered anew ------------------------
+
+
+def ognq_text(statements):
+    """Expected serialize_ognq: every term rendered with render_term, in sid order."""
+    lines = []
+    for st in sorted(statements, key=lambda st: sid_key(st.sid)):
+        parts = [render_term(t, ognq=True) for t in st.content] + [render_term(sid_iri(st.sid))]
+        lines.append(" ".join(parts) + " .\n")
+    return "".join(lines)
+
+
+def nested_key(t):
+    """The nested form of views.triple_key's order: term keys, a quoted
+    triple ``(5, key(s), key(p), key(o))``, a triple the tuple of its three."""
+    if isinstance(t, tuple):
+        return tuple(map(nested_key, t))
+    if isinstance(t, QuotedTriple):
+        return (5, nested_key(t.s), nested_key(t.p), nested_key(t.o))
+    return term_key(t)
+
+
+def ntriples_text(triples):
+    """Expected serialize_ntriples: every term rendered with render_term, in nested_key order."""
+    return "".join(" ".join(map(render_term, t)) + " .\n" for t in sorted(triples, key=nested_key))
+
+
+def turtle_star_text(triples):
+    """Expected serialize_turtle_star without prefixes, in nested_key order:
+    ``a`` for rdf:type, bare numbers and booleans, quoted triples spelled out."""
+
+    def node(t):
+        if isinstance(t, QuotedTriple):
+            return f"<< {node(t.s)} {verb(t.p)} {node(t.o)} >>"
+        if isinstance(t, Literal) and bare_literal(t.lexical) == t:
+            return t.lexical
+        return render_term(t)
+
+    def verb(p):
+        return "a" if p == RDF_TYPE else node(p)
+
+    return "".join(f"{node(s)} {verb(p)} {node(o)} .\n" for s, p, o in sorted(triples, key=nested_key))
+
+
+def lpg_jsonl_text(graph):
+    """Expected serialize_lpg_jsonl: one ``json.dumps`` per element. A key
+    holds its one value bare, or an array of them; a value with meta is an
+    object; a list value always sits in an array."""
+
+    def wrap(values):
+        return values[0] if len(values) == 1 and not isinstance(values[0], list) else list(values)
+
+    def site(s):
+        return {"value": s.value, "meta": {k: wrap(vs) for k, vs in s.meta.items()}} if s.meta else s.value
+
+    objs = []
+    for vid, v in graph.vertices.items():
+        obj = {"type": "vertex", "id": vid, "labels": list(v.labels)}
+        if v.properties:
+            obj["properties"] = {k: wrap([site(s) for s in sites]) for k, sites in v.properties.items()}
+        objs.append(obj)
+    for sid, e in graph.edges.items():
+        obj = {"type": "edge", "id": str(sid), "label": e.label, "from": e.source, "to": e.target}
+        if e.properties:
+            obj["properties"] = {k: wrap(vs) for k, vs in e.properties.items()}
+        objs.append(obj)
+    return "".join(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n" for obj in objs)

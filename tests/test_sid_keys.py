@@ -15,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import stores
 
-from og import DeletePolicy, LocalId, NotFoundError, SidFactory, SidRef, StatementPattern, Store
+from og import (
+    DeletePolicy,
+    Literal,
+    LocalId,
+    NotFoundError,
+    SidFactory,
+    SidRef,
+    Statement,
+    StatementPattern,
+    Store,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -45,6 +55,20 @@ def test_fresh_skips_a_callers_uuids_and_the_reserved_ones():
     factory.reserve(uuid.UUID(int=2))
     assert factory.fresh({uuid.UUID(int=1)}) == uuid.UUID(int=3)
     assert factory.fresh(taken={4}) == uuid.UUID(int=5)
+
+
+def test_the_first_fresh_sid_after_a_seeded_load_builds_one_uuid(monkeypatch):
+    # the counter walks past the 20k loaded sids on integers
+    store = Store(seed=0)
+    store.add_statements([Statement(LocalId("v"), LocalId("p"), Literal(str(i)), uuid.UUID(int=i))
+                          for i in range(1, 20_001)])
+    built = []
+    init = uuid.UUID.__init__
+    monkeypatch.setattr(uuid.UUID, "__init__", lambda self, *a, **kw: built.append(a or kw) or init(self, *a, **kw))
+    sid = store.fresh_sid()
+    monkeypatch.undo()
+    assert len(built) <= 2
+    assert sid == uuid.UUID(int=20_001) and store.fresh_sid() == uuid.UUID(int=20_002)
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from og import (
     sid_from_iri_text,
     sid_iri,
     sid_text,
-    term_compare,
     term_key,
 )
 from og.terms import sid_key
@@ -108,13 +107,12 @@ class TestOrdering:
         assert sorted(reversed(ordered), key=term_key) == ordered
 
     @given(iris, iris)
-    def test_compare_agrees_with_key(self, a, b):
-        k = (term_key(a) > term_key(b)) - (term_key(a) < term_key(b))
-        assert term_compare(a, b) == k
+    def test_key_equal_iff_terms_equal(self, a, b):
+        assert (term_key(a) == term_key(b)) == (a == b)
 
     @given(local_ids, blank_nodes)
     def test_locals_before_blanks(self, l, b):
-        assert term_compare(l, b) < 0
+        assert term_key(l) < term_key(b)
 
     @given(st.one_of(
         st.lists(st.uuids(version=4)),

@@ -19,6 +19,7 @@ from og import (
     Store,
     UnknownEndpointError,
     UnsupportedValueError,
+    VertexProperty,
     XSD_BOOLEAN,
     XSD_INTEGER,
     lpg_add_edge,
@@ -293,3 +294,19 @@ class TestLpgSetProperty:
         store.insert_ground(LocalId("A"), LocalId("name"), Literal("a"))
         with pytest.raises(UnsupportedValueError):
             lpg_set_property(store, "A", "name", {"nested": 1})
+
+    def test_a_string_under_a_label_predicate_key_is_refused_on_a_vertex(self):
+        store = Store(seed=0)
+        store.insert_ground(LocalId("a"), LocalId("label"), Literal("3", XSD_INTEGER))
+        edge = store.insert_ground(LocalId("a"), LocalId("knows"), LocalId("b"))
+        before = store.statements()
+        for key in ("label", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"):
+            with pytest.raises(UnsupportedValueError, match="vertex label"):
+                lpg_set_property(store, "a", key, "x")
+        assert store.statements() == before
+        # a number under the key, and a string on an edge, stay properties
+        lpg_set_property(store, "a", "label", 4)
+        lpg_set_property(store, edge, "label", "x")
+        g = lpg_view(store)
+        assert g.vertices["a"].labels == ["Vertex"] and g.vertices["a"].properties == {"label": [VertexProperty(4)]}
+        assert g.edges[edge].properties == {"label": ["x"]}

@@ -9,10 +9,12 @@ across spellings, read back through the views:
   statements left.
 - ``lpg_add_edge`` shows as the named edge in the property-graph view and
   as its exposed triple in HIDE.
-- ``lpg_set_property`` replaces exactly the sites that show as the key.
+- ``lpg_set_property`` replaces exactly the sites that show as the key, and
+  refuses a string on a vertex under a key that shows as a label predicate.
 """
 
 import oracles
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import PREFIXES, spelled_stores, spelled_terms
@@ -23,6 +25,7 @@ from og import (
     Literal,
     LpgViewConfig,
     Store,
+    UnsupportedValueError,
     VertexProperty,
     lpg_add_edge,
     lpg_set_property,
@@ -118,11 +121,18 @@ def test_setting_a_property_replaces_exactly_the_sites_of_its_key(data, namespac
     element = data.draw(st.sampled_from(shows or elements) | st.sampled_from(elements))
     vertex = isinstance(element, str)
     shown = before.vertices[element].properties if vertex else before.edges[element].properties
-    # a string under a label predicate would show as a vertex label instead
+    # a key that displays as a label predicate (as "label" and rdf:type do)
     predicates = {_display(t, cfg) for t in cfg.label_predicates}
-    key = data.draw(st.sampled_from(sorted(k for k in shown if k not in predicates) + ["since"]))
+    key = data.draw(st.sampled_from(sorted(shown) + ["since"]) | st.sampled_from(sorted(predicates)))
     value = data.draw(VALUES)
 
+    if vertex and key in predicates and isinstance(value, str):
+        # would show as a vertex label: refused before anything changes
+        statements = store.statements()
+        with pytest.raises(UnsupportedValueError):
+            lpg_set_property(store, element, key, value, config=cfg)
+        assert store.statements() == statements
+        return
     lpg_set_property(store, element, key, value, config=cfg)
     after = lpg_view(store, cfg)
     if vertex:
