@@ -11,7 +11,7 @@ rule and the renaming of blank labels apart from a store's.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..datatypes import (
     LANG_TAG,
@@ -33,6 +33,7 @@ from ..terms import (
     Iri,
     LocalId,
     SidRef,
+    parse_sid_text,
     sid_from_iri_text,
 )
 
@@ -110,6 +111,10 @@ _STRING_RUN = re.compile(r'[^"\\]*')
 def scan_iri_text(cur: Cursor) -> str:
     cur.expect("<")
     text = cur.text
+    end = _IRI_RUN.match(text, cur.pos).end()
+    if text.startswith(">", end):  # no escapes
+        start, cur.pos = cur.pos, end + 1
+        return text[start:end]
     out = []
     while True:
         end = _IRI_RUN.match(text, cur.pos).end()
@@ -224,6 +229,78 @@ def end_of_statement(cur: Cursor) -> None:
         cur.fail("unexpected content after '.'")
 
 
+# Escape-free term tokens, built from the scanners' own rules. Each token of
+# a line ends where its scanner stops: nothing matched here can continue into
+# the space, tab or statement end that must follow it.
+_IRI_TOKEN = f"<{_IRI_RUN.pattern}>"
+_NODE_TOKEN = f"{_IRI_TOKEN}|_:{NAME.pattern}"
+_ANY_TOKEN = f'{_NODE_TOKEN}|"{_STRING_RUN.pattern}"(?:@{LANG_TAG.pattern}|\\^\\^{_IRI_TOKEN})?'
+_END = r"[ \t]*\.[ \t]*(?:#.*)?"
+_NT_LINE = re.compile(rf"[ \t]*({_NODE_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_ANY_TOKEN}){_END}")
+_OGNQ_TERM = f'({_ANY_TOKEN}|local:"{_STRING_RUN.pattern}")'
+_OGNQ_LINE = re.compile(rf"[ \t]*{_OGNQ_TERM}[ \t]+{_OGNQ_TERM}[ \t]+{_OGNQ_TERM}"
+                        rf"[ \t]+(<{re.escape(SID_IRI_PREFIX)}{_IRI_RUN.pattern}>){_END}")
+
+
+class TermReader:
+    """Reads the terms of one parse call's statement lines, each distinct
+    token once: a dict from token text to term lives as long as the reader.
+
+    :meth:`line` reads a line of escape-free tokens, one space or tab apart,
+    with one regex, an N-Triples line by its positions (node, IRI, any term)
+    and an OG-NQ line as three terms and its sid. A token that is not yet in
+    the dict is scanned at its own column, so a bad one fails as the
+    scanners make it fail anywhere; only a term read without error is kept.
+    Any other line is for the caller to read with :meth:`scan`. Equal terms
+    spelled apart (escaped and not) are kept as one object.
+    """
+
+    __slots__ = ("ognq", "pattern", "tokens", "terms")
+
+    def __init__(self, *, ognq: bool = False):
+        self.ognq = ognq
+        self.pattern = _OGNQ_LINE if ognq else _NT_LINE
+        self.tokens: dict[str, Term] = {}
+        self.terms: dict[Term, Term] = {}  # one object per distinct term
+
+    def scan(self, cur: Cursor) -> Term:
+        """:func:`scan_term` at the cursor, as the one object of its term."""
+        t = scan_term(cur, ognq=self.ognq)
+        return self.terms.setdefault(t, t)
+
+    def line(self, text: str, lineno: int) -> list | None:
+        """The line's three terms, and an OG-NQ line's sid; None when the line
+        is not one the regex reads."""
+        m = self.pattern.fullmatch(text)
+        if m is None:
+            return None
+        tokens = self.tokens
+        parts = []
+        for i in (1, 2, 3):
+            t = tokens.get(m.group(i))
+            if t is None:
+                cur = Cursor(text, lineno)
+                cur.pos = m.start(i)
+                t = tokens[m.group(i)] = self.scan(cur)
+            parts.append(t)
+        if self.ognq:
+            # the sid's token is its references' too: they share one UUID
+            ref = tokens.get(m.group(4))
+            if ref is None:
+                try:
+                    ref = tokens[m.group(4)] = SidRef(parse_sid_text(m.group(4)[len(SID_IRI_PREFIX) + 1:-1]))
+                except ValueError:
+                    cur = Cursor(text, lineno)
+                    cur.pos = m.start(4)
+                    scan_term(cur, ognq=True)  # raises the scanner's error for a malformed sid IRI
+            parts.append(ref.sid)
+        return parts
+
+    def blank_labels(self) -> set[str]:
+        """The labels of every blank node read so far."""
+        return {t.label for t in self.terms if type(t) is BlankNode}
+
+
 # --- rendering -----------------------------------------------------------
 
 
@@ -299,13 +376,24 @@ def _renamed(t: Term, renames: dict[str, str]) -> Term:
     return t
 
 
-def split_lines(text: str) -> list[tuple[int, str]]:
+def raw_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for every line of the text, one at a time,
+    so no list of the document's lines is built."""
+    start, lineno = 0, 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        lineno += 1
+        yield lineno, text[start:end]
+        start = end + 1
+
+
+def split_lines(text: str) -> Iterator[tuple[int, str]]:
     """(1-based line number, content) pairs, skipping blanks and comments."""
-    out = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    for lineno, line in raw_lines(text):
+        if line.endswith("\r"):
+            line = line[:-1]
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((i, line))
-    return out
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line

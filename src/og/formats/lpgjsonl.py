@@ -89,12 +89,15 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
     All or nothing: on error the store is left unchanged.
     """
     store = store if store is not None else Store()
+    decode = json.JSONDecoder(parse_constant=_no_constants).decode  # one decoder per call
     docs: list[tuple[int, dict]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line, parse_constant=_no_constants)
+            if line.startswith("\ufeff"):  # refused as json.loads refuses it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            doc = decode(line)
         except (ValueError, RecursionError) as e:
             raise ParseError(str(e), line=lineno)
         if not isinstance(doc, dict):

@@ -14,9 +14,9 @@ from ..terms import BlankNode, Iri
 from ..views import RdfGraph
 from .common import (
     Cursor,
+    TermReader,
     _renamed,
     end_of_statement,
-    scan_term,
     split_lines,
     store_renames,
     term_renderer,
@@ -26,27 +26,29 @@ from .common import (
 def parse_ntriples(text: str, store: Store | None = None) -> Store:
     """Parse N-Triples into ground statements under fresh sids."""
     store = store if store is not None else Store()
-    triples: list[tuple[Term, Term, Term]] = []
+    triples: list[list[Term]] = []
+    reader = TermReader()
     for lineno, line in split_lines(text):
-        cur = Cursor(line, lineno)
-        cur.skip_ws()
-        col = cur.pos + 1
-        s = scan_term(cur)
-        if not isinstance(s, (Iri, BlankNode)):
-            raise ParseError("subject must be an IRI or blank node", line=lineno, column=col)
-        cur.skip_ws()
-        col = cur.pos + 1
-        p = scan_term(cur)
-        if not isinstance(p, Iri):
-            raise ParseError("predicate must be an IRI", line=lineno, column=col)
-        cur.skip_ws()
-        o = scan_term(cur)
-        end_of_statement(cur)
-        triples.append((s, p, o))
+        triple = reader.line(line, lineno)
+        if triple is None:
+            cur = Cursor(line, lineno)
+            cur.skip_ws()
+            col = cur.pos + 1
+            s = reader.scan(cur)
+            if not isinstance(s, (Iri, BlankNode)):
+                raise ParseError("subject must be an IRI or blank node", line=lineno, column=col)
+            cur.skip_ws()
+            col = cur.pos + 1
+            p = reader.scan(cur)
+            if not isinstance(p, Iri):
+                raise ParseError("predicate must be an IRI", line=lineno, column=col)
+            cur.skip_ws()
+            triple = [s, p, reader.scan(cur)]
+            end_of_statement(cur)
+        triples.append(triple)
 
-    labels = {t.label for triple in triples for t in triple if isinstance(t, BlankNode)}
-    if renames := store_renames(store, labels):
-        triples = [tuple(_renamed(t, renames) for t in triple) for triple in triples]
+    if renames := store_renames(store, reader.blank_labels()):
+        triples = [[_renamed(t, renames) for t in triple] for triple in triples]
     store.insert_new(triples)
     return store
 

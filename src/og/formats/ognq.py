@@ -12,11 +12,12 @@ Forward references are fine: lines may mention sids defined further down.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..statements import Statement, Term, blank_labels
+from ..statements import Statement, Term
 from ..store import Store
-from ..terms import SID_IRI_PREFIX, Sid, SidRef
+from ..terms import SID_IRI_PREFIX, SidRef
 from .common import (
     Cursor,
+    TermReader,
     _renamed,
     end_of_statement,
     scan_term,
@@ -35,28 +36,29 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     """
     store = store if store is not None else Store()
     parsed: list[Statement] = []
-    seen: set[Sid] = set()
-    shared: dict[Term, Term] = {}  # one object per distinct term of the document
+    seen: set[int] = set()  # the sids' integers
+    reader = TermReader(ognq=True)
     for lineno, line in split_lines(text):
-        cur = Cursor(line, lineno)
-        terms = []
-        for _ in range(4):
-            cur.skip_ws()
-            t = scan_term(cur, ognq=True)
-            terms.append(shared.setdefault(t, t))
-        src, label, value, fourth = terms
-        end_of_statement(cur)
-        if not isinstance(fourth, SidRef):
-            raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
-        sid = fourth.sid
-        if sid in seen or sid in store:
+        parts = reader.line(line, lineno)
+        if parts is None:
+            cur = Cursor(line, lineno)
+            parts = []
+            for _ in range(4):
+                cur.skip_ws()
+                parts.append(reader.scan(cur))
+            end_of_statement(cur)
+            if not isinstance(parts[3], SidRef):
+                raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
+            parts[3] = parts[3].sid
+        src, label, value, sid = parts
+        if sid.int in seen or sid in store:
             raise ParseError(f"duplicate sid {sid}", line=lineno)
-        seen.add(sid)
+        seen.add(sid.int)
         try:
             parsed.append(Statement(src, label, value, sid))
         except Exception as e:
             raise ParseError(str(e), line=lineno) from None
-    if renames := store_renames(store, blank_labels(parsed)):
+    if renames := store_renames(store, reader.blank_labels()):
         parsed = [Statement(_renamed(st.src, renames), st.label, _renamed(st.value, renames), st.sid)
                   for st in parsed]
     store.add_statements(parsed)

@@ -15,6 +15,7 @@ match), and the enclosing triple becomes an assertion about it.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from ..datatypes import LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
@@ -26,9 +27,11 @@ from .common import (
     BARE_LITERAL,
     PN_PREFIX,
     Cursor,
+    _renamed,
     bare_literal,
     escape_iri,
     escape_string,
+    raw_lines,
     render_term,
     scan_blank,
     scan_iri_text,
@@ -40,41 +43,35 @@ _PNAME = re.compile(f"(?:{PN_PREFIX.pattern})?:(?:{NAME.pattern})?")
 _WORD = re.compile(r"[A-Za-z]+")
 _SPACE = re.compile(r"[ \t\r]*")
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens of the document; no token spans a line."""
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+def _tokenize(text: str) -> Iterator[tuple]:
+    """The document's tokens, ``(kind, value, line, column)``, one at a
+    time; no token spans a line. After the last one, ``eof`` repeats."""
+    kind = None
+    for lineno, line in raw_lines(text):
         cur = Cursor(line, lineno)
+        pos = 0
         while True:
-            pos = cur.pos = _SPACE.match(line, cur.pos).end()
+            pos = cur.pos = _SPACE.match(line, pos).end()
             if pos == len(line) or line[pos] == "#":
                 break
             c = line[pos]
             value = None
-            if line.startswith("<<", pos) or line.startswith(">>", pos):
-                kind, end = line[pos:pos + 2], pos + 2
-            elif c == "<":
-                kind, value = "iri", scan_iri_text(cur)
-                end = cur.pos
+            if c == "<":
+                if line.startswith("<<", pos):
+                    kind, end = "<<", pos + 2
+                else:
+                    kind, value = "iri", scan_iri_text(cur)
+                    end = cur.pos
             elif c == '"':
                 kind, value = "string", scan_string_body(cur)
                 end = cur.pos
+            elif line.startswith(">>", pos):
+                kind, end = ">>", pos + 2
             elif c == "@":
                 m = LANG_TAG.match(line, pos + 1)
                 # after a string, "@prefix" and "@base" start language tags
                 directive = line.startswith(("@prefix", "@base"), pos)
-                if m and (not directive or tokens and tokens[-1].kind == "string"):
+                if m and (not directive or kind == "string"):
                     kind, value, end = "lang", m.group(0), m.end()
                 elif line.startswith("@prefix", pos):
                     kind, end = "@prefix", pos + len("@prefix")
@@ -85,7 +82,7 @@ def _tokenize(text: str) -> list[_Token]:
             elif line.startswith("^^", pos):
                 kind, end = "^^", pos + 2
             elif line.startswith("_:", pos):
-                kind, value = "blank", scan_blank(cur).label
+                kind, value = "blank", scan_blank(cur)
                 end = cur.pos
             elif c in "+-.0123456789" and (m := BARE_LITERAL.match(line, pos)):
                 kind, value, end = "number", m.group(0), m.end()
@@ -94,7 +91,7 @@ def _tokenize(text: str) -> list[_Token]:
             elif c in ".;,":
                 kind, end = c, pos + 1
             elif m := _PNAME.match(line, pos):
-                kind, value, end = "pname", tuple(m.group(0).split(":", 1)), m.end()
+                kind, value, end = "pname", m.group(0), m.end()
             elif m := _WORD.match(line, pos):
                 word, end = m.group(0), m.end()
                 if word == "a":
@@ -109,57 +106,66 @@ def _tokenize(text: str) -> list[_Token]:
                     cur.fail(f"unexpected word {word!r}")
             else:
                 cur.fail(f"unexpected character {c!r}")
-            tokens.append(_Token(kind, value, lineno, pos + 1))
-            cur.pos = end
-    tokens.append(_Token("eof", None, lineno, len(line) + 1))
-    return tokens
+            yield kind, value, lineno, pos + 1
+            pos = end
+    eof = ("eof", None, lineno, len(line) + 1)
+    while True:
+        yield eof
+
+
+# A new triple's index, or a blank node, is in no stored statement: a blank
+# label the store holds is renamed apart, and one it does not is in none.
+_UNSTORED = (int, BlankNode)
 
 
 class _Parser:
-    """Reads the triples of a token list without touching the store.
+    """Reads the triples of a token stream, one token ahead, without
+    touching the store.
 
     A triple already in the store stands for its least sid. A new one is
     recorded once, in ``new``, and stands for its index there until
-    :meth:`Store.insert_new` gives it a sid.
+    :meth:`Store.insert_new` gives it a sid. IRIs and prefixed names are
+    read once per distinct text; a prefix declaration forgets the names.
+    Blank labels are kept as written, to be renamed after the last token.
     """
 
-    def __init__(self, tokens: list[_Token], store: Store):
+    def __init__(self, tokens: Iterator[tuple], store: Store):
         self.tokens = tokens
-        self.i = 0
+        self.tok = next(tokens)
         self.store = store
+        self.stored = len(store) > 0  # an empty store matches nothing
         self.prefixes: dict[str, str] = {}
-        self.renames = store_renames(store, {t.value for t in tokens if t.kind == "blank"})
+        self.iris: dict[str, Iri] = {}
+        self.pnames: dict[str, Iri] = {}
+        self.blanks: set[str] = set()
         self.new: list[tuple] = []
         self.made: dict[tuple, SidRef | int] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
+    def next(self) -> tuple:
+        tok = self.tok
+        self.tok = next(self.tokens)
         return tok
 
-    def fail(self, tok: _Token, msg: str):
-        raise ParseError(msg, line=tok.line, column=tok.col)
+    def fail(self, tok: tuple, msg: str):
+        raise ParseError(msg, line=tok[2], column=tok[3])
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.next()
-        if tok.kind != kind:
-            self.fail(tok, f"expected {kind!r}, found {tok.kind!r}")
+        if tok[0] != kind:
+            self.fail(tok, f"expected {kind!r}, found {tok[0]!r}")
         return tok
 
     # --- grammar ---------------------------------------------------------
 
     def parse(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind = self.tok[0]
+            if kind == "eof":
                 return
-            if tok.kind == "@prefix":
+            if kind == "@prefix":
                 self.next()
                 self.prefix_declaration(terminated=True)
-            elif tok.kind == "PREFIX":
+            elif kind == "PREFIX":
                 self.next()
                 self.prefix_declaration(terminated=False)
             else:
@@ -167,10 +173,11 @@ class _Parser:
 
     def prefix_declaration(self, terminated: bool) -> None:
         name = self.expect("pname")
-        if name.value[1] != "":
+        if not name[1].endswith(":"):
             self.fail(name, "prefix declarations take a bare 'label:'")
         iri = self.expect("iri")
-        self.prefixes[name.value[0]] = iri.value
+        self.prefixes[name[1][:-1]] = iri[1]
+        self.pnames.clear()
         if terminated:
             self.expect(".")
 
@@ -181,14 +188,14 @@ class _Parser:
             while True:
                 obj = self.node(allow_literal=True)
                 self.stmt(subject, verb, obj)
-                if self.peek().kind == ",":
+                if self.tok[0] == ",":
                     self.next()
                     continue
                 break
-            if self.peek().kind == ";":
-                while self.peek().kind == ";":
+            if self.tok[0] == ";":
+                while self.tok[0] == ";":
                     self.next()
-                if self.peek().kind in (".", "eof"):
+                if self.tok[0] in (".", "eof"):
                     break
                 continue
             break
@@ -196,39 +203,45 @@ class _Parser:
 
     def verb(self) -> Term:
         tok = self.next()
-        if tok.kind == "a":
+        if tok[0] == "a":
             return RDF_TYPE
-        if tok.kind == "iri":
+        if tok[0] == "iri":
             return self.to_iri(tok)
-        if tok.kind == "pname":
+        if tok[0] == "pname":
             return self.expand(tok)
         self.fail(tok, "expected a predicate")
 
-    def to_iri(self, tok: _Token) -> Iri:
-        try:
-            return Iri(tok.value)
-        except ValueError as e:
-            self.fail(tok, str(e))
+    def to_iri(self, tok: tuple) -> Iri:
+        iri = self.iris.get(tok[1])
+        if iri is None:
+            try:
+                iri = self.iris[tok[1]] = Iri(tok[1])
+            except ValueError as e:
+                self.fail(tok, str(e))
+        return iri
 
-    def expand(self, tok: _Token) -> Iri:
-        prefix, local = tok.value
-        if prefix not in self.prefixes:
-            self.fail(tok, f"undeclared prefix {prefix!r}:")
-        try:
-            return Iri(self.prefixes[prefix] + local)
-        except ValueError as e:
-            self.fail(tok, str(e))
+    def expand(self, tok: tuple) -> Iri:
+        iri = self.pnames.get(tok[1])
+        if iri is None:
+            prefix, local = tok[1].split(":", 1)
+            if prefix not in self.prefixes:
+                self.fail(tok, f"undeclared prefix {prefix!r}:")
+            try:
+                iri = self.pnames[tok[1]] = Iri(self.prefixes[prefix] + local)
+            except ValueError as e:
+                self.fail(tok, str(e))
+        return iri
 
-    def literal_suffix(self, lexical: str, tok: _Token) -> Literal:
+    def literal_suffix(self, lexical: str, tok: tuple) -> Literal:
         try:
-            if self.peek().kind == "lang":
-                return Literal(lexical, RDF_LANG_STRING, self.next().value)
-            if self.peek().kind == "^^":
+            if self.tok[0] == "lang":
+                return Literal(lexical, RDF_LANG_STRING, self.next()[1])
+            if self.tok[0] == "^^":
                 self.next()
                 dt_tok = self.next()
-                if dt_tok.kind == "iri":
+                if dt_tok[0] == "iri":
                     dt = self.to_iri(dt_tok)
-                elif dt_tok.kind == "pname":
+                elif dt_tok[0] == "pname":
                     dt = self.expand(dt_tok)
                 else:
                     self.fail(dt_tok, "expected a datatype IRI")
@@ -239,20 +252,22 @@ class _Parser:
 
     def node(self, allow_literal: bool) -> Term:
         tok = self.next()
-        if tok.kind == "iri":
+        kind = tok[0]
+        if kind == "iri":
             return self.to_iri(tok)
-        if tok.kind == "pname":
+        if kind == "pname":
             return self.expand(tok)
-        if tok.kind == "blank":
-            return BlankNode(self.renames.get(tok.value, tok.value))
-        if tok.kind == "<<":
+        if kind == "blank":
+            self.blanks.add(tok[1].label)
+            return tok[1]
+        if kind == "<<":
             return self.quoted()
         if not allow_literal:
             self.fail(tok, "a literal cannot appear here")
-        if tok.kind == "string":
-            return self.literal_suffix(tok.value, tok)
-        if tok.kind in ("number", "boolean"):
-            return bare_literal(tok.value)
+        if kind == "string":
+            return self.literal_suffix(tok[1], tok)
+        if kind in ("number", "boolean"):
+            return bare_literal(tok[1])
         self.fail(tok, "expected a term")
 
     def quoted(self) -> SidRef | int:
@@ -260,7 +275,7 @@ class _Parser:
         with an explicit stack: the subject and verb read so far of each."""
         stack: list[list] = [[]]
         while True:
-            if self.peek().kind == "<<":
+            if self.tok[0] == "<<":
                 self.next()
                 stack.append([])
                 continue
@@ -275,12 +290,18 @@ class _Parser:
 
     def stmt(self, s, p: Term, o) -> SidRef | int:
         key = (s, p, o)
-        if key not in self.made:
-            existing = self.store.sids_by_content(s, p, o)
-            self.made[key] = SidRef(existing[0]) if existing else len(self.new)
-            if not existing:
+        made = self.made.get(key)
+        if made is None:
+            existing = None
+            if self.stored and not isinstance(s, _UNSTORED) and not isinstance(o, _UNSTORED):
+                existing = self.store.sids_by_content(s, p, o)
+            if existing:
+                made = SidRef(existing[0])
+            else:
+                made = len(self.new)
                 self.new.append(key)
-        return self.made[key]
+            self.made[key] = made
+        return made
 
 
 def parse_turtle_star(text: str, store: Store | None = None) -> Store:
@@ -291,7 +312,10 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     store = store if store is not None else Store()
     parser = _Parser(_tokenize(text), store)
     parser.parse()
-    store.insert_new(parser.new)
+    new = parser.new
+    if renames := store_renames(store, parser.blanks):
+        new = [(_renamed(s, renames), p, _renamed(o, renames)) for s, p, o in new]
+    store.insert_new(new)
     return store
 
 
@@ -314,6 +338,11 @@ def _render_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     return shorten_iri(iri, fits) if fits else f"<{escape_iri(text)}>"
 
 
+def _is_rdf_type(p) -> bool:
+    """``p == RDF_TYPE``, without the dataclass ``__eq__`` call."""
+    return type(p) is Iri and p.text == RDF_TYPE.text
+
+
 def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
     """Text of one node, rendered once per distinct object and ``memo``,
     which is keyed by ``id`` and so holds only while the graph lives; a
@@ -323,7 +352,7 @@ def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
         return text
     if isinstance(t, QuotedTriple):
         s = _render_node(t.s, prefixes, memo)
-        p = "a" if t.p == RDF_TYPE else _render_node(t.p, prefixes, memo)
+        p = "a" if _is_rdf_type(t.p) else _render_node(t.p, prefixes, memo)
         o = _render_node(t.o, prefixes, memo)
         text = f"<< {s} {p} {o} >>"
     elif isinstance(t, Iri):
@@ -352,6 +381,6 @@ def serialize_turtle_star(graph: RdfStarGraph, prefixes: dict[str, str] | None =
         lines.append("")
     memo: dict = {}
     for s, p, o in graph.sorted():
-        ps = "a" if p == RDF_TYPE else _render_node(p, prefixes, memo)
+        ps = "a" if _is_rdf_type(p) else _render_node(p, prefixes, memo)
         lines.append(f"{_render_node(s, prefixes, memo)} {ps} {_render_node(o, prefixes, memo)} .")
     return "".join(line + "\n" for line in lines)

@@ -262,6 +262,9 @@ class Store:
             raise DanglingSidError(f"unresolvable references (absent or cyclic) from: {bad}")
         for st in ordered:
             self._install(st)
+        # a live sid leaves only by deletion, which reserves it: skipping the
+        # loaded run now leaves the first fresh sid nothing to walk
+        self._sids.skip(live)
 
     # --- deletion -------------------------------------------------------
 

@@ -104,10 +104,10 @@ class SidFactory:
     Random (uuid4) by default. With a seed, sids are sequential starting at
     seed+1 so runs are reproducible; seed 0 issues
     00000000-0000-0000-0000-000000000001 first. :meth:`fresh` skips the sids
-    its caller still holds (``live``, or their integers ``taken``: a store
-    passes its sid index) and the reserved ones (integers; a store reserves
-    the sids of deleted statements), so a sid is never reused after deletion
-    and a seeded counter never re-issues an identifier loaded from a file.
+    its caller still holds (their integers, ``taken``: a store passes its sid
+    index) and the reserved ones (integers; a store reserves the sids of
+    deleted statements), so a sid is never reused after deletion and a
+    seeded counter never re-issues an identifier loaded from a file.
     """
 
     def __init__(self, seed: int | None = None):
@@ -126,15 +126,24 @@ class SidFactory:
     def reserve(self, sid: Sid) -> None:
         self._reserved.add(sid.int)
 
-    def fresh(self, live: Container[Sid] = (), taken: Container[int] = ()) -> Sid:
+    def skip(self, taken: Container[int]) -> None:
+        """Move a seeded counter past the integers of ``taken`` that directly
+        follow it. :meth:`fresh` issues the same sids, as long as those stay
+        taken or reserved, but walks none of them."""
+        n = self._counter
+        if n is not None:
+            while n + 1 in taken:
+                n += 1
+            self._counter = n
+
+    def fresh(self, taken: Container[int] = ()) -> Sid:
         while True:
             if self._counter is None:
                 sid = uuid.uuid4()
-            else:
-                # walk on integers: only a free one becomes a UUID
-                self._counter += 1
-                if self._counter in taken or self._counter in self._reserved:
-                    continue
-                sid = uuid.UUID(int=self._counter)
-            if sid.int not in taken and sid.int not in self._reserved and sid not in live:
-                return sid
+                if sid.int not in taken and sid.int not in self._reserved:
+                    return sid
+                continue
+            # walk on integers: only a free one becomes a UUID
+            self._counter += 1
+            if self._counter not in taken and self._counter not in self._reserved:
+                return uuid.UUID(int=self._counter)

@@ -87,7 +87,8 @@ def _expose(term: Term, namespace: str) -> Term:
 
 def _once_per_call(name: Callable[[Term], Any], kind: type) -> Callable[[Term], Any]:
     """``name`` for the length of one view call: worked out once per distinct
-    term of type ``kind`` (keyed by its text), called anew on any other term."""
+    term of type ``kind`` (keyed by its text), called anew on any other term.
+    The RDF views pass only local identifiers, and every other term through."""
     named: dict[str, Any] = {}
 
     def once(term: Term) -> Any:
@@ -150,14 +151,14 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
         # a sid reference renders as its sid IRI; a ground target gets its
         # reification triples the first time
         if not isinstance(t, SidRef):
-            return expose(t)
+            return expose(t) if type(t) is LocalId else t
         iri = iris.get(t.sid.int)
         if iri is not None:
             return iri
         iri = iris[t.sid.int] = sid_iri(t.sid)
         target = store.get(t.sid)
         if is_ground(target):
-            s, p, o = map(expose, target.content)
+            s, p, o = (expose(t) if type(t) is LocalId else t for t in target.content)
             triples.add((iri, RDF_TYPE, RDF_STATEMENT))
             triples.add((iri, RDF_SUBJECT, s))
             triples.add((iri, RDF_PREDICATE, p))
@@ -167,10 +168,12 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
     for st in store:
         if store.hidden(st.sid):
             continue
+        s, p, o = st.src, st.label, st.value
         if is_ground(st):
-            triples.add((expose(st.src), expose(st.label), expose(st.value)))
+            triples.add((expose(s) if type(s) is LocalId else s, expose(p) if type(p) is LocalId else p,
+                         expose(o) if type(o) is LocalId else o))
         elif mode is RdfMode.REIFY:
-            triples.add((part(st.src), expose(st.label), part(st.value)))
+            triples.add((part(s), expose(p) if type(p) is LocalId else p, part(o)))
     return RdfGraph(frozenset(triples))
 
 
@@ -256,7 +259,7 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
 
     def part(t: Term):
         if not isinstance(t, SidRef):
-            return expose(t)
+            return expose(t) if type(t) is LocalId else t
         triple = rendered[t.sid.int]
         if triple not in quoted:
             quoted[triple] = QuotedTriple(*triple)
@@ -267,7 +270,8 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
             continue
         if store.depth(st.sid) > bound:
             raise NestingOverflowError(f"quoted-triple nesting exceeds {bound} (e.g. statement {st.sid})")
-        rendered[st.sid.int] = (part(st.src), expose(st.label), part(st.value))
+        label = st.label
+        rendered[st.sid.int] = (part(st.src), expose(label) if type(label) is LocalId else label, part(st.value))
     return RdfStarGraph(frozenset(rendered.values()))
 
 
@@ -478,11 +482,13 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     for st in store:
         if not is_ground(st) or store.hidden(st.sid):
             continue
-        triple = (expose(st.src), expose(st.label), expose(st.value))
+        s, p, o = st.src, st.label, st.value
+        triple = (expose(s) if type(s) is LocalId else s, expose(p) if type(p) is LocalId else p,
+                  expose(o) if type(o) is LocalId else o)
         graphs = memberships.get(st.sid.int)
         if graphs:
             for gname in graphs:
-                named.setdefault(expose(gname), set()).add(triple)
+                named.setdefault(expose(gname) if type(gname) is LocalId else gname, set()).add(triple)
         else:
             default.add(triple)
     return Dataset(

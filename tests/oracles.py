@@ -11,17 +11,31 @@ import json
 
 from og import (
     IN_GRAPH,
+    BlankNode,
     Iri,
     Literal,
     LocalId,
+    ParseError,
     SidRef,
+    Statement,
     expose_local_as_iri,
     is_ground,
     referenced_sids,
     sid_iri,
     term_key,
 )
-from og.formats.common import bare_literal, render_term
+from og.datatypes import LANG_TAG, RDF_LANG_STRING
+from og.formats.common import (
+    BARE_LITERAL,
+    Cursor,
+    bare_literal,
+    end_of_statement,
+    render_term,
+    scan_blank,
+    scan_iri_text,
+    scan_string_body,
+    scan_term,
+)
 from og.terms import sid_key
 from og.views import QuotedTriple, _display
 
@@ -331,3 +345,141 @@ def lpg_jsonl_text(graph):
             obj["properties"] = {k: wrap(vs) for k, vs in e.properties.items()}
         objs.append(obj)
     return "".join(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n" for obj in objs)
+
+
+# --- parsed text: every token read with a cursor ----------------------------
+
+
+def _statement_lines(text):
+    """(line number, Cursor) for each line that is not blank or a comment."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line[:-1] if line.endswith("\r") else line
+        if line.strip() and not line.strip().startswith("#"):
+            yield lineno, Cursor(line, lineno)
+
+
+def ognq_statements(text):
+    """Expected parse_ognq statements, blank labels not yet renamed apart:
+    every term of every line scanned where it stands, none remembered."""
+    out = []
+    for lineno, cur in _statement_lines(text):
+        terms = []
+        for _ in range(4):
+            cur.skip_ws()
+            terms.append(scan_term(cur, ognq=True))
+        end_of_statement(cur)
+        if not isinstance(terms[3], SidRef):
+            raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
+        if any(st.sid == terms[3].sid for st in out):
+            raise ParseError(f"duplicate sid {terms[3].sid}", line=lineno)
+        try:
+            out.append(Statement(*terms[:3], terms[3].sid))
+        except Exception as e:
+            raise ParseError(str(e), line=lineno) from None
+    return out
+
+
+def ntriples_triples(text):
+    """Expected parse_ntriples triples, blank labels not yet renamed apart:
+    every term scanned where it stands, its position checked at its column."""
+    out = []
+    for lineno, cur in _statement_lines(text):
+        triple = []
+        for kinds, what in (((Iri, BlankNode), "subject must be an IRI or blank node"),
+                            ((Iri,), "predicate must be an IRI"), (object, "")):
+            cur.skip_ws()
+            col = cur.pos + 1
+            t = scan_term(cur)
+            if not isinstance(t, kinds):
+                raise ParseError(what, line=lineno, column=col)
+            triple.append(t)
+        end_of_statement(cur)
+        out.append(tuple(triple))
+    return out
+
+
+def turtle_star_triples(text):
+    """Expected parse_turtle_star content, for documents whose tokens are
+    spaced apart (a literal's suffix aside): prefix declarations, and triples
+    with ``;``, ``,``, ``a``, quoted triples and bare numbers and booleans.
+    Every triple, quoted ones included, as nested tuples, in the order they
+    are read, blank labels not yet renamed apart. The whole document is
+    tokenized with the cursor scanners first."""
+    tokens = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        cur = Cursor(line.rstrip("\r"), lineno)
+        while True:
+            cur.skip_ws()
+            if cur.at_end() or cur.peek() == "#":
+                break
+            rest = cur.text[cur.pos:]
+            number = BARE_LITERAL.match(rest) if rest[0] in "+-0123456789" else None
+            if rest[:2] in ("<<", ">>", "^^") or rest[0] in ".;,":
+                tok = rest[:2] if rest[:2] in ("<<", ">>", "^^") else rest[0]
+                cur.pos += len(tok)
+            elif rest[0] == "<":
+                tok = ("iri", scan_iri_text(cur))
+            elif rest[0] == '"':
+                tok = ("string", scan_string_body(cur))
+            elif rest[0] == "@" and tokens and tokens[-1][0] == "string":
+                tok = ("lang", LANG_TAG.match(rest, 1).group())
+                cur.pos += 1 + len(tok[1])
+            elif rest[0] == "_":
+                tok = ("blank", scan_blank(cur))
+            else:
+                word = rest.split()[0]
+                if number or word in ("true", "false"):
+                    word = number.group() if number else word
+                    tok = ("literal", bare_literal(word))
+                elif word in ("a", "@prefix", "PREFIX"):
+                    tok = word
+                else:
+                    tok = ("pname", word.split(":", 1))
+                cur.pos += len(word)
+            tokens.append(tok)
+
+    tokens.reverse()
+    prefixes, triples = {}, []
+
+    def iri(tok):
+        return Iri(tok[1]) if tok[0] == "iri" else Iri(prefixes[tok[1][0]] + tok[1][1])
+
+    def verb():
+        tok = tokens.pop()
+        return RDF_TYPE if tok == "a" else iri(tok)
+
+    def node():
+        tok = tokens.pop()
+        if tok == "<<":
+            quoted = (node(), verb(), node())
+            assert tokens.pop() == ">>"
+            triples.append(quoted)
+            return quoted
+        if tok[0] in ("blank", "literal"):
+            return tok[1]
+        if tok[0] != "string":
+            return iri(tok)
+        if tokens[-1][0] == "lang":
+            return Literal(tok[1], RDF_LANG_STRING, tokens.pop()[1])
+        if tokens[-1] == "^^":
+            tokens.pop()
+            return Literal(tok[1], iri(tokens.pop()))
+        return Literal(tok[1])
+
+    while tokens:
+        if tokens[-1] in ("@prefix", "PREFIX"):
+            keyword, (label, _), base = tokens.pop(), tokens.pop()[1], tokens.pop()[1]
+            prefixes[label] = base
+            if keyword == "@prefix":
+                assert tokens.pop() == "."
+            continue
+        subject = node()
+        while True:
+            predicate = verb()
+            triples.append((subject, predicate, node()))
+            while tokens[-1] == ",":
+                tokens.pop()
+                triples.append((subject, predicate, node()))
+            if tokens.pop() == ".":
+                break
+    return triples

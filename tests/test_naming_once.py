@@ -129,3 +129,16 @@ def test_a_namespace_error_still_comes_from_the_first_exposure():
     for view in RDF_VIEWS.values():
         with pytest.raises(NamespaceError):
             view(store, "")
+
+
+@pytest.mark.parametrize("view", RDF_VIEWS, ids=str)
+def test_an_rdf_view_passes_every_other_term_by(monkeypatch, view):
+    # _expose runs once per distinct local identifier, and on nothing else
+    store = recurring_store()
+    local_ids = {t for st in store for t in st.content if isinstance(t, LocalId)}
+    calls = counted(monkeypatch, "_expose")
+    for ns in (NS, OTHER_NS):
+        calls.clear()
+        RDF_VIEWS[view](store, ns)
+        assert LocalId("knows") in calls and set(calls) <= local_ids
+        assert sum(calls.values()) == len(calls)

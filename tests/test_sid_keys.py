@@ -53,7 +53,7 @@ def test_a_sids_integer_or_text_is_no_sid(data):
 def test_fresh_skips_a_callers_uuids_and_the_reserved_ones():
     factory = SidFactory(seed=0)
     factory.reserve(uuid.UUID(int=2))
-    assert factory.fresh({uuid.UUID(int=1)}) == uuid.UUID(int=3)
+    assert factory.fresh(taken={1}) == uuid.UUID(int=3)
     assert factory.fresh(taken={4}) == uuid.UUID(int=5)
 
 
@@ -69,6 +69,43 @@ def test_the_first_fresh_sid_after_a_seeded_load_builds_one_uuid(monkeypatch):
     monkeypatch.undo()
     assert len(built) <= 2
     assert sid == uuid.UUID(int=20_001) and store.fresh_sid() == uuid.UUID(int=20_002)
+
+
+class _Counting(dict):
+    """A sid index that counts the membership tests made of it."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return dict.__contains__(self, key)
+
+
+def test_a_seeded_load_leaves_the_first_fresh_sid_nothing_to_walk():
+    store = Store(seed=0)
+    store.add_statements([Statement(LocalId("v"), LocalId("p"), Literal(str(i)), uuid.UUID(int=i))
+                          for i in range(1, 20_001)])
+    store._by_sid = _Counting(store._by_sid)
+    assert store.fresh_sid() == uuid.UUID(int=20_001)
+    assert store._by_sid.tests == 1
+
+
+@pytest.mark.parametrize("loaded, deleted", [
+    (range(1, 6), ()),
+    (range(5, 0, -1), ()),  # out of sid order
+    ((1, 2, 4, 5), ()),  # a gap
+    (range(1, 6), (3, 5)),  # deleted sids stay reserved
+    ((2, 3), ()),  # the counter's next sid is free
+])
+def test_a_seeded_store_issues_the_sids_a_walk_would(loaded, deleted):
+    store = Store(seed=0)
+    store.add_statements([Statement(LocalId("v"), LocalId("p"), Literal(str(i)), uuid.UUID(int=i)) for i in loaded])
+    for i in deleted:
+        store.delete_statement(uuid.UUID(int=i))
+    copy = store.copy()
+    want = [i for i in range(1, 12) if i not in set(loaded)][:4]
+    assert [store.fresh_sid().int for _ in range(4)] == want
+    assert [copy.fresh_sid().int for _ in range(4)] == want
 
 
 @pytest.fixture
