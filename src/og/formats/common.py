@@ -37,6 +37,9 @@ from ..terms import (
     sid_from_iri_text,
 )
 
+#: The error for an ``urn:og:sid:`` IRI where a format has no sid references.
+SID_RESERVED = f"the {SID_IRI_PREFIX} namespace is reserved"
+
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
 _LOCAL_MARK = 'local:"'
@@ -196,8 +199,7 @@ def scan_term(cur: Cursor, *, ognq: bool = False) -> Term:
         text = scan_iri_text(cur)
         if text.startswith(SID_IRI_PREFIX):
             if not ognq:
-                raise ParseError("the urn:og:sid: namespace is reserved",
-                                 line=cur.line, column=start_col)
+                raise ParseError(SID_RESERVED, line=cur.line, column=start_col)
             try:
                 return SidRef(sid_from_iri_text(text))
             except ValueError:
@@ -251,8 +253,9 @@ class TermReader:
     and an OG-NQ line as three terms and its sid. A token that is not yet in
     the dict is scanned at its own column, so a bad one fails as the
     scanners make it fail anywhere; only a term read without error is kept.
-    Any other line is for the caller to read with :meth:`scan`. Equal terms
-    spelled apart (escaped and not) are kept as one object.
+    Any other line is for the caller to read with :meth:`scan`. A caller
+    with its own line regex reads each whole token with :meth:`term`. Equal
+    terms spelled apart (escaped and not) are kept as one object.
     """
 
     __slots__ = ("ognq", "pattern", "tokens", "terms")
@@ -267,6 +270,18 @@ class TermReader:
         """:func:`scan_term` at the cursor, as the one object of its term."""
         t = scan_term(cur, ognq=self.ognq)
         return self.terms.setdefault(t, t)
+
+    def term(self, token: str) -> Term | None:
+        """The term of one whole escape-free token, scanned the first time and
+        then read from the dict; None, and nothing kept, when the scanner
+        refuses it."""
+        t = self.tokens.get(token)
+        if t is None:
+            try:
+                t = self.tokens[token] = self.scan(Cursor(token, 0))
+            except ParseError:
+                return None
+        return t
 
     def line(self, text: str, lineno: int) -> list | None:
         """The line's three terms, and an OG-NQ line's sid; None when the line

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 
-from ..datatypes import XSD_STRING, Literal, coerce_lpg_value
+from ..datatypes import Literal, coerce_lpg_value
 from ..errors import ParseError, UnknownEndpointError, UnsupportedValueError
 from ..store import Store
 from ..terms import LocalId, sid_text
@@ -35,13 +35,40 @@ def _no_constants(token: str):
     raise ValueError(f"{token} is not valid JSON here")
 
 
-def _local(text, what: str, lineno: int) -> LocalId:
-    if not isinstance(text, str):
-        raise ParseError(f"{what} must be a string", line=lineno)
-    try:
-        return LocalId(text)
-    except ValueError as e:
-        raise ParseError(f"bad {what}: {e}", line=lineno)
+_SCALARS = (str, int, float, bool)
+
+
+class _Terms:
+    """The ``LocalId``s and scalar ``Literal``s of one parse call, each
+    distinct one built once; only a term built without error is kept."""
+
+    def __init__(self):
+        self.locals: dict[str, LocalId] = {}
+        self.values: dict[object, Literal] = {}
+
+    def local(self, text, what: str, lineno: int) -> LocalId:
+        if not isinstance(text, str):
+            raise ParseError(f"{what} must be a string", line=lineno)
+        term = self.locals.get(text)
+        if term is None:
+            try:
+                term = self.locals[text] = LocalId(text)
+            except ValueError as e:
+                raise ParseError(f"bad {what}: {e}", line=lineno)
+        return term
+
+    def value(self, raw) -> Literal:
+        """:func:`coerce_lpg_value` of a JSON value; a list is not kept."""
+        kind = type(raw)
+        if kind not in _SCALARS:
+            return coerce_lpg_value(raw)
+        # True, 1 and 1.0 are equal keys, and so are 0.0 and -0.0: key by
+        # type, and a float by its repr; a string, never equal to a tuple, by itself
+        key = raw if kind is str else (kind, repr(raw) if kind is float else raw)
+        lit = self.values.get(key)
+        if lit is None:
+            lit = self.values[key] = coerce_lpg_value(raw)
+        return lit
 
 
 def _value_entries(raw, lineno: int, allow_meta: bool) -> list[tuple[object, dict]]:
@@ -67,20 +94,20 @@ def _value_entries(raw, lineno: int, allow_meta: bool) -> list[tuple[object, dic
     return out
 
 
-def _property_triples(batch: list[tuple], subject, raw_props, lineno: int) -> None:
+def _property_triples(batch: list[tuple], terms: _Terms, subject, raw_props, lineno: int) -> None:
     """Append a property map's triples about ``subject`` (a term, or the
     batch index of an edge) to the batch, each value's meta after it."""
     if not isinstance(raw_props, dict):
         raise ParseError('"properties" must be an object', line=lineno)
     for key, raw in raw_props.items():
-        pred = _local(key, "property key", lineno)
+        pred = terms.local(key, "property key", lineno)
         for value, meta in _value_entries(raw, lineno, allow_meta=True):
             site = len(batch)
-            batch.append((subject, pred, coerce_lpg_value(value)))
+            batch.append((subject, pred, terms.value(value)))
             for mk, mraw in meta.items():
-                mpred = _local(mk, "meta key", lineno)
+                mpred = terms.local(mk, "meta key", lineno)
                 for mv, _ in _value_entries(mraw, lineno, allow_meta=False):
-                    batch.append((site, mpred, coerce_lpg_value(mv)))
+                    batch.append((site, mpred, terms.value(mv)))
 
 
 def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
@@ -107,6 +134,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
         docs.append((lineno, doc))
 
     batch: list[tuple] = []
+    terms = _Terms()
     vertices: dict[str, LocalId] = {}
     anchored: set[str] = set()
     for lineno, doc in docs:
@@ -117,7 +145,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
             raise ParseError(f"unknown vertex keys: {sorted(extra)}", line=lineno)
         if "id" not in doc:
             raise ParseError('vertices need an "id"', line=lineno)
-        term = _local(doc["id"], "vertex id", lineno)
+        term = terms.local(doc["id"], "vertex id", lineno)
         if term.text in vertices:
             raise ParseError(f"duplicate vertex id {term.text!r}", line=lineno)
         vertices[term.text] = term
@@ -125,9 +153,9 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
         if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
             raise ParseError('"labels" must be an array of strings', line=lineno)
         for lbl in dict.fromkeys(labels):
-            batch.append((term, _LABEL, Literal(lbl, XSD_STRING)))
+            batch.append((term, _LABEL, terms.value(lbl)))
         props = doc.get("properties", {})
-        _property_triples(batch, term, props, lineno)
+        _property_triples(batch, terms, term, props, lineno)
         if labels or props:
             anchored.add(term.text)
 
@@ -146,7 +174,7 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
         if doc["id"] in edge_ids:
             raise ParseError(f"duplicate edge id {doc['id']!r}", line=lineno)
         edge_ids.add(doc["id"])
-        label = _local(doc["label"], "edge label", lineno)
+        label = terms.local(doc["label"], "edge label", lineno)
         ends = []
         for key in ("from", "to"):
             name = doc[key]
@@ -158,11 +186,11 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
             anchored.add(name)
         edge = len(batch)
         batch.append((ends[0], label, ends[1]))
-        _property_triples(batch, edge, doc.get("properties", {}), lineno)
+        _property_triples(batch, terms, edge, doc.get("properties", {}), lineno)
 
     for vid, term in vertices.items():
         if vid not in anchored:
-            batch.append((term, _LABEL, Literal(DEFAULT_VERTEX_LABEL, XSD_STRING)))
+            batch.append((term, _LABEL, terms.value(DEFAULT_VERTEX_LABEL)))
     store.insert_new(batch)
     return store
 

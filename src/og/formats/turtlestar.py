@@ -15,18 +15,24 @@ match), and the enclosing triple becomes an assertion about it.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..datatypes import LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
-from ..terms import NAME, BlankNode, Iri, LocalId, SidRef
+from ..terms import NAME, SID_IRI_PREFIX, BlankNode, Iri, LocalId, SidRef
 from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph, shorten_iri
 from .common import (
+    _ANY_TOKEN,
+    _END,
+    _IRI_TOKEN,
+    _NODE_TOKEN,
     BARE_LITERAL,
     PN_PREFIX,
+    SID_RESERVED,
     Cursor,
+    TermReader,
     _renamed,
     bare_literal,
     escape_iri,
@@ -42,12 +48,23 @@ from .common import (
 _PNAME = re.compile(f"(?:{PN_PREFIX.pattern})?:(?:{NAME.pattern})?")
 _WORD = re.compile(r"[A-Za-z]+")
 _SPACE = re.compile(r"[ \t\r]*")
+#: A statement on one line, ``S P O .`` or ``<< S P O >> P O .``, of
+#: escape-free tokens one or more spaces or tabs apart.
+_LINE = re.compile(rf"[ \t]*(?:<<[ \t]+({_NODE_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_ANY_TOKEN})[ \t]+>>"
+                   rf"|({_NODE_TOKEN}))[ \t]+({_IRI_TOKEN})[ \t]+({_ANY_TOKEN}){_END}")
 
-def _tokenize(text: str) -> Iterator[tuple]:
+
+def _tokenize(text: str, whole_line: Callable[[str], bool]) -> Iterator[tuple]:
     """The document's tokens, ``(kind, value, line, column)``, one at a
-    time; no token spans a line. After the last one, ``eof`` repeats."""
+    time; no token spans a line. After the last one, ``eof`` repeats.
+
+    A line at a statement start (the document's first token, or the one
+    after a ``.``) goes to ``whole_line`` first, and yields no token when
+    that reads it."""
     kind = None
     for lineno, line in raw_lines(text):
+        if kind in (None, ".") and whole_line(line):
+            continue
         cur = Cursor(line, lineno)
         pos = 0
         while True:
@@ -119,27 +136,30 @@ _UNSTORED = (int, BlankNode)
 
 
 class _Parser:
-    """Reads the triples of a token stream, one token ahead, without
-    touching the store.
+    """Reads the triples of a document, one token ahead, without touching
+    the store.
 
     A triple already in the store stands for its least sid. A new one is
     recorded once, in ``new``, and stands for its index there until
     :meth:`Store.insert_new` gives it a sid. IRIs and prefixed names are
     read once per distinct text; a prefix declaration forgets the names.
-    Blank labels are kept as written, to be renamed after the last token.
+    A statement line :meth:`line` reads as a whole is read through a
+    :class:`TermReader`, each distinct token once. Blank labels are kept as
+    written, to be renamed after the last token.
     """
 
-    def __init__(self, tokens: Iterator[tuple], store: Store):
-        self.tokens = tokens
-        self.tok = next(tokens)
+    def __init__(self, text: str, store: Store):
         self.store = store
         self.stored = len(store) > 0  # an empty store matches nothing
         self.prefixes: dict[str, str] = {}
         self.iris: dict[str, Iri] = {}
         self.pnames: dict[str, Iri] = {}
         self.blanks: set[str] = set()
+        self.reader = TermReader()
         self.new: list[tuple] = []
         self.made: dict[tuple, SidRef | int] = {}
+        self.tokens = _tokenize(text, self.line)
+        self.tok = next(self.tokens)
 
     def next(self) -> tuple:
         tok = self.tok
@@ -154,6 +174,24 @@ class _Parser:
         if tok[0] != kind:
             self.fail(tok, f"expected {kind!r}, found {tok[0]!r}")
         return tok
+
+    def line(self, text: str) -> bool:
+        """Read a statement line :data:`_LINE` matches, inner triple first,
+        and say whether it did. A line with a token the scanners refuse is
+        left to the token path, which reports it where it always has."""
+        m = _LINE.fullmatch(text)
+        if m is None:
+            return False
+        terms = []
+        for token in m.groups():
+            if token is not None:
+                if (t := self.reader.term(token)) is None:
+                    return False
+                terms.append(t)
+        if len(terms) == 5:  # << S P O >> P O
+            terms = [self.stmt(*terms[:3]), *terms[3:]]
+        self.stmt(*terms)
+        return True
 
     # --- grammar ---------------------------------------------------------
 
@@ -205,11 +243,17 @@ class _Parser:
         tok = self.next()
         if tok[0] == "a":
             return RDF_TYPE
-        if tok[0] == "iri":
-            return self.to_iri(tok)
-        if tok[0] == "pname":
-            return self.expand(tok)
+        if tok[0] in ("iri", "pname"):
+            return self.term_iri(tok)
         self.fail(tok, "expected a predicate")
+
+    def term_iri(self, tok: tuple) -> Iri:
+        """An IRI or prefixed name in a triple: the sid namespace is refused
+        there (a datatype may name it)."""
+        iri = self.to_iri(tok) if tok[0] == "iri" else self.expand(tok)
+        if iri.text.startswith(SID_IRI_PREFIX):
+            self.fail(tok, SID_RESERVED)
+        return iri
 
     def to_iri(self, tok: tuple) -> Iri:
         iri = self.iris.get(tok[1])
@@ -253,10 +297,8 @@ class _Parser:
     def node(self, allow_literal: bool) -> Term:
         tok = self.next()
         kind = tok[0]
-        if kind == "iri":
-            return self.to_iri(tok)
-        if kind == "pname":
-            return self.expand(tok)
+        if kind in ("iri", "pname"):
+            return self.term_iri(tok)
         if kind == "blank":
             self.blanks.add(tok[1].label)
             return tok[1]
@@ -290,17 +332,17 @@ class _Parser:
 
     def stmt(self, s, p: Term, o) -> SidRef | int:
         key = (s, p, o)
-        made = self.made.get(key)
-        if made is None:
+        n = len(self.new)
+        made = self.made.setdefault(key, n)
+        # every index already there is below n, so this n went in: the key is new
+        if made is n:
             existing = None
             if self.stored and not isinstance(s, _UNSTORED) and not isinstance(o, _UNSTORED):
                 existing = self.store.sids_by_content(s, p, o)
             if existing:
-                made = SidRef(existing[0])
+                made = self.made[key] = SidRef(existing[0])
             else:
-                made = len(self.new)
                 self.new.append(key)
-            self.made[key] = made
         return made
 
 
@@ -310,10 +352,10 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     All or nothing: on error the store is left unchanged.
     """
     store = store if store is not None else Store()
-    parser = _Parser(_tokenize(text), store)
+    parser = _Parser(text, store)
     parser.parse()
     new = parser.new
-    if renames := store_renames(store, parser.blanks):
+    if renames := store_renames(store, parser.blanks | parser.reader.blank_labels()):
         new = [(_renamed(s, renames), p, _renamed(o, renames)) for s, p, o in new]
     store.insert_new(new)
     return store

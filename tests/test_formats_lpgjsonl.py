@@ -1,12 +1,18 @@
 """LPG exchange format: one JSON object per line, vertices before edges."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from og import (
+    XSD_BOOLEAN,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
     CoercionTally,
+    Literal,
     LpgGraph,
     ParseError,
     Store,
@@ -19,6 +25,7 @@ from og import (
     serialize_lpg_jsonl,
     serialize_ognq,
 )
+from og.formats import lpgjsonl
 from oracles import lpg_shape
 from strategies import stores
 
@@ -100,6 +107,55 @@ class TestParse:
         with pytest.raises(ParseError) as e:
             parse_lpg_jsonl('{"type": "vertex", "id": "a"}\n{"type": "vertex", "id": "a"}\n')
         assert "line 2" in str(e.value)
+
+
+class TestOneTermPerValue:
+    DOC = (
+        '{"type": "vertex", "id": "a", "labels": ["L", "M"], "properties": '
+        '{"n": [1, 1.0, true, 0.0, -0.0, "1", 1], "m": {"value": 1.0, "meta": {"n": [true, "L", [1, 2]]}}}}\n'
+        '{"type": "vertex", "id": "b", "labels": ["L"], "properties": {"n": [-0.0, "1", 1, 0.0]}}\n'
+        '{"type": "vertex", "id": "c"}\n'
+        '{"type": "edge", "id": "e1", "label": "n", "from": "a", "to": "b", "properties": {"m": [true, 1]}}\n'
+        '{"type": "edge", "id": "e2", "label": "n", "from": "b", "to": "a"}\n'
+    )
+
+    def test_each_distinct_id_and_scalar_is_built_once_per_call(self, monkeypatch):
+        built = Counter()
+        make_local, coerce = lpgjsonl.LocalId, lpgjsonl.coerce_lpg_value
+
+        def counted_local(text):
+            built["local", text] += 1
+            return make_local(text)
+
+        def counted_coerce(value):
+            built["value", type(value), repr(value)] += 1
+            return coerce(value)
+
+        monkeypatch.setattr(lpgjsonl, "LocalId", counted_local)
+        monkeypatch.setattr(lpgjsonl, "coerce_lpg_value", counted_coerce)
+        for _ in range(2):  # the memo lives for one call
+            built.clear()
+            store = parse_lpg_jsonl(self.DOC)
+            assert built and max(built.values()) == 1
+        # True, 1 and 1.0 stay apart, and so do 0.0 and -0.0
+        values = {st.value for st in store if isinstance(st.value, Literal)}
+        assert {Literal("1", XSD_INTEGER), Literal("1.0", XSD_DOUBLE), Literal("true", XSD_BOOLEAN),
+                Literal("0.0", XSD_DOUBLE), Literal("-0.0", XSD_DOUBLE), Literal("1", XSD_STRING)} <= values
+
+    @pytest.mark.parametrize(
+        "line,needle",
+        [
+            ('{"type": "vertex", "id": ["a"]}', "vertex id must be a string"),
+            ('{"type": "vertex", "id": "a b"}', "bad vertex id"),
+            ('{"type": "vertex", "id": "d", "properties": {"p q": 1}}', "bad property key"),
+            ('{"type": "edge", "id": "e3", "label": 1, "from": "a", "to": "b"}', "edge label must be a string"),
+        ],
+    )
+    def test_an_error_after_remembered_terms_keeps_its_message_and_line(self, line, needle):
+        doc = self.DOC.replace('{"type": "vertex", "id": "c"}', line)
+        with pytest.raises(ParseError) as e:
+            parse_lpg_jsonl(doc)
+        assert needle in str(e.value) and e.value.line == 3
 
 
 class TestSerialize:

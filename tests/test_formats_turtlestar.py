@@ -16,6 +16,7 @@ from og import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    parse_ntriples,
     parse_turtle_star,
     rdf_star_view,
     serialize_ognq,
@@ -94,6 +95,56 @@ class TestParse:
             parse_turtle_star(doc)
         assert needle in str(e.value)
         assert e.value.line is not None
+
+
+SID = "urn:og:sid:00000000-0000-0000-0000-000000000001"
+
+
+class TestSidNamespace:
+    """Sid IRIs name statements only in OG-NQ: Turtle-star refuses one in a
+    triple at parse time, as N-Triples does, rather than store what
+    ``serialize_ognq`` cannot write."""
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            (f"<{SID}> <urn:x:p> <urn:x:o> .", 1),
+            (f"<urn:x:s> <{SID}> <urn:x:o> .", 11),
+            (f"<urn:x:s> <urn:x:p> <{SID}> .", 21),
+        ],
+    )
+    def test_refused_like_ntriples(self, line, column):
+        for parse in (parse_turtle_star, parse_ntriples):
+            store = Store(seed=0)
+            with pytest.raises(ParseError) as e:
+                parse(f'<urn:x:a> <urn:x:p> "1" .\n{line}\n', store)
+            assert (str(e.value), e.value.line, e.value.column) == (
+                f"the urn:og:sid: namespace is reserved (line 2, column {column})", 2, column)
+            assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "doc, line, column",
+        [
+            (f"<urn:x:s> <urn:x:p> <urn:x:o> , <{SID}> .\n", 1, 33),
+            (f"<urn:x:s> <urn:x:p> <{SID[:-1]}\\u0031> .\n", 1, 21),
+            (f"<< <urn:x:s> <urn:x:p> <{SID}> >> <urn:x:q> 1 .\n", 1, 24),
+            (f"<urn:x:s> <urn:x:p> << <urn:x:s> <{SID}> 1 >> .\n", 1, 34),
+            ("PREFIX sid: <urn:og:sid:>\n<urn:x:s> <urn:x:p> sid:x .\n", 2, 21),
+            ("@prefix sid: <urn:og:sid:> .\nsid:x a <urn:x:T> .\n", 2, 1),
+        ],
+    )
+    def test_refused_in_quoted_triples_and_prefixed_names(self, doc, line, column):
+        with pytest.raises(ParseError) as e:
+            parse_turtle_star(doc)
+        assert (str(e.value), e.value.line, e.value.column) == (
+            f"the urn:og:sid: namespace is reserved (line {line}, column {column})", line, column)
+
+    def test_a_datatype_may_name_the_namespace(self):
+        line = f'<urn:x:s> <urn:x:p> "v"^^<{SID}> .\n'
+        want = Literal("v", Iri(SID))
+        assert parse_ntriples(line).statements()[0].value == want
+        assert parse_turtle_star(line).statements()[0].value == want
+        assert want in {st.value for st in parse_turtle_star(line.replace(" .", ' , "w" .'))}
 
 
 class TestAtomicParse:

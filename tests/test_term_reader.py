@@ -1,12 +1,14 @@
 """Each parser reads what the cursor-only oracles read, token for token.
 
 The parsers read each distinct token once per call (OG-NQ and N-Triples
-through ``formats.common.TermReader``, Turtle-star through its own memo of
-IRIs and prefixed names) and Turtle-star streams its tokens. The documents
-here mix what could tell them apart from ``tests/oracles.py``, which scans
-every token where it stands: escaped and escape-free spellings of one term,
-repeated tokens, spacing the line regex does not read, prefixes redeclared
-mid-document, and blank labels that collide with the store's.
+through ``formats.common.TermReader``, Turtle-star through it on a whole
+statement line and through its own memo of IRIs and prefixed names on its
+token path) and Turtle-star streams its tokens. The documents here mix what
+could tell them apart from ``tests/oracles.py``, which scans every token
+where it stands: escaped and escape-free spellings of one term, repeated
+tokens, spacing the line regex does not read, prefixes redeclared
+mid-document, blank labels that collide with the store's, and for
+Turtle-star lines the line regex would read but the token path must.
 """
 
 import uuid
@@ -314,9 +316,7 @@ def ttl_store() -> Store:
     return store
 
 
-@settings(max_examples=150, deadline=None)
-@given(doc=ttl_documents())
-def test_parse_turtle_star_reads_what_the_cursor_reads(doc):
+def reads_as_the_oracle(doc: str) -> None:
     want = oracles.turtle_star_triples(doc)
     store = ttl_store()
     before = [tuple(nested(store, t) for t in st.content) for st in store.statements()]
@@ -325,6 +325,12 @@ def test_parse_turtle_star_reads_what_the_cursor_reads(doc):
     expected = [t for t in dict.fromkeys(renamed(t, renames) for t in want) if t not in before]
     got = [tuple(nested(store, t) for t in st.content) for st in store.statements()]
     assert got == before + expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=ttl_documents())
+def test_parse_turtle_star_reads_what_the_cursor_reads(doc):
+    reads_as_the_oracle(doc)
 
 
 def test_a_redeclared_prefix_reads_its_names_anew():
@@ -341,3 +347,181 @@ def test_turtle_star_reports_the_first_error_in_reading_order():
     with pytest.raises(ParseError) as e:
         parse_turtle_star('<urn:x:a> "lit" <urn:x:b> .\n<urn:x:a> <urn:x:b> "bad \\q" .\n')
     assert (e.value.line, e.value.column) == (1, 11) and "predicate" in str(e.value)
+
+
+# --- Turtle-star's line path -------------------------------------------------
+
+SID_IRI = Iri(f"urn:og:sid:{uuid.UUID(int=1)}")
+SID_RESERVED = "the urn:og:sid: namespace is reserved"
+#: a datatype may name the sid namespace; a term may not
+LINE_LITERALS = TTL_LITERALS + [Literal("n1", SID_IRI)]
+LINE_SPACES = [" ", " ", "\t", "  "]
+#: statement ends; a space before the dot keeps a bare literal apart from it
+LINE_ENDS = [" .", " .", "\t. ", " . # end", "  .#x"]
+#: (token, message, offset of the error's column in the token, object only)
+BAD_TOKENS = [
+    ("<rel>", "not an absolute IRI: 'rel'", 0, False),
+    (f"<{SID_IRI.text}>", SID_RESERVED, 0, False),
+    (f"<{_escaped(SID_IRI.text, 12)}>", SID_RESERVED, 0, False),
+    ("sid:x", SID_RESERVED, 0, False),
+    ('"x"^^<foo>', "not an absolute IRI: 'foo'", 5, True),
+    (f'"x"^^<{RDF_LANG_STRING.text}>', "rdf:langString requires a language tag", 0, True),
+]
+
+
+def kind_of(token: str) -> str:
+    """The token path's name for a term token's kind."""
+    return {"<": "iri", "_": "blank", '"': "string"}[token[0]]
+
+
+@st.composite
+def statement_line(draw, row: list[str], ended: bool = True) -> tuple[str, list[int], int | None]:
+    """The row's tokens spaced apart, and when ``ended`` a dot after them:
+    the line, each token's column, and the dot's column."""
+    line = draw(st.sampled_from(["", "  "]))
+    columns = []
+    for i, token in enumerate(row):
+        line += draw(st.sampled_from(LINE_SPACES)) if i else ""
+        columns.append(len(line) + 1)
+        line += token
+    if not ended:
+        return line, columns, None
+    end = draw(st.sampled_from(LINE_ENDS))
+    return line + end, columns, len(line) + end.index(".") + 1
+
+
+@st.composite
+def line_documents(draw):
+    """Statement lines the line regex reads (``S P O .`` and ``<< S P O >>
+    P O .``) among continuations, prefix lines, escapes, prefixed names,
+    bare literals, comments and CRLF; and at most one fault: a bad token on
+    a statement line, or a statement line mid-statement (after ``,``, ``;``
+    or a ``PREFIX`` with no IRI). Returns the document and, for a fault,
+    the error as (message, line, column)."""
+    lines: list[str] = []
+    error = None
+
+    def spelled(t) -> str:
+        if draw(st.integers(0, 3)):  # mostly escape-free, as the line regex reads it
+            return spellings(t)[0]
+        options = spellings(t)
+        if isinstance(t, Iri) and t.text.startswith("urn:x:") and t.text[6:].isascii():
+            options.append("ex:" + t.text[6:])
+        if isinstance(t, Literal) and t.datatype in (XSD_INTEGER, XSD_BOOLEAN):
+            options.append(t.lexical)
+        return draw(st.sampled_from(options))
+
+    def node() -> str:
+        return spelled(draw(st.sampled_from(IRIS + BLANKS)))
+
+    def iri() -> str:
+        p = draw(st.sampled_from(IRIS + [RDF_TYPE]))
+        return draw(st.sampled_from(["a", spelled(p)])) if p == RDF_TYPE else spelled(p)
+
+    def obj() -> str:
+        return spelled(draw(st.sampled_from(IRIS + BLANKS + LINE_LITERALS)))
+
+    def row(quoted: bool) -> list[str]:
+        if quoted:
+            return ["<<", node(), iri(), obj(), ">>", iri(), obj()]
+        return [node(), iri(), obj()]
+
+    def add(line: str) -> int:
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+        return len(lines)
+
+    lines.append("@prefix ex: <urn:x:> .\n")
+    for _ in range(draw(st.integers(1, 8))):
+        block = draw(st.sampled_from(["line", "line", "line", "continued", "prefix", "comment"]))
+        if block == "line":
+            add(draw(statement_line(row(draw(st.booleans()))))[0])
+        elif block == "continued":
+            add(draw(statement_line([node(), iri(), obj(), ";"], ended=False))[0])
+            add(draw(statement_line([iri(), obj(), ","], ended=False))[0])
+            add(draw(statement_line([obj()]))[0])
+        elif block == "prefix":
+            base = draw(st.sampled_from(["urn:x:", "http://ex.org/"]))
+            add(draw(st.sampled_from([f"@prefix p1: <{base}> .", f"PREFIX p1: <{base}>"])))
+        else:
+            add(draw(st.sampled_from(["", "# a comment", "  "])))
+    fault = draw(st.sampled_from([None, "token", "token", "comma", "semicolon", "prefix"]))
+    if fault == "token":
+        token, message, offset, object_only = draw(st.sampled_from(BAD_TOKENS))
+        if token.startswith("sid:"):
+            add(draw(st.sampled_from(["@prefix sid: <urn:og:sid:> .", "PREFIX sid: <urn:og:sid:>"])))
+        tokens = row(draw(st.booleans()))
+        places = [i for i, t in enumerate(tokens) if t not in ("<<", ">>") and (not object_only or
+                  i == len(tokens) - 1 or tokens[i + 1] == ">>")]
+        at = draw(st.sampled_from(places))
+        tokens[at] = token
+        line, columns, _ = draw(statement_line(tokens))
+        error = (message, add(line), columns[at] + offset)
+    elif fault in ("comma", "semicolon"):
+        # a statement continued by a line of three terms: the token path
+        # reads its first term(s) into the statement and stops at the next
+        head = [node(), iri(), obj(), "," if fault == "comma" else ";"]
+        add(draw(statement_line(head, ended=False))[0])
+        first = spellings(draw(st.sampled_from(IRIS + (BLANKS if fault == "semicolon" else []))))[0]
+        tokens = [first, spellings(draw(st.sampled_from(IRIS)))[0],
+                  spellings(draw(st.sampled_from(IRIS + BLANKS + LINE_LITERALS)))[0]]
+        line, columns, _ = draw(statement_line(tokens))
+        lineno = add(line)
+        if fault == "comma":
+            error = ("expected '.', found 'iri'", lineno, columns[1])
+        elif first.startswith("_"):
+            error = ("expected a predicate", lineno, columns[0])
+        else:
+            error = (f"expected '.', found {kind_of(tokens[2])!r}", lineno, columns[2])
+    elif fault == "prefix":
+        # the line's first term is the prefix's IRI, the rest a statement
+        add("PREFIX p2:")
+        tokens = [spellings(draw(st.sampled_from(IRIS + BLANKS)))[0], spellings(draw(st.sampled_from(IRIS)))[0],
+                  spellings(draw(st.sampled_from(IRIS + BLANKS + LINE_LITERALS)))[0]]
+        line, columns, dot = draw(statement_line(tokens))
+        lineno = add(line)
+        if tokens[0].startswith("_"):
+            error = ("expected 'iri', found 'blank'", lineno, columns[0])
+        elif not tokens[2].startswith("<"):
+            error = ("expected a predicate", lineno, columns[2])
+        else:
+            error = ("expected a term", lineno, dot)
+    if error is not None and draw(st.booleans()):
+        add(draw(statement_line(row(False)))[0])  # never read
+    return "".join(lines), error
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=line_documents())
+def test_turtle_star_reads_a_statement_line_as_its_tokens_read_it(case):
+    doc, error = case
+    if error is None:
+        reads_as_the_oracle(doc)
+        return
+    message, line, column = error
+    store = ttl_store()
+    size = len(store)
+    with pytest.raises(ParseError) as e:
+        parse_turtle_star(doc, store)
+    assert (str(e.value), e.value.line, e.value.column) == (f"{message} (line {line}, column {column})", line, column)
+    assert len(store) == size
+
+
+@pytest.mark.parametrize("doc", [
+    "<urn:x:a> <urn:x:p> <urn:x:o> .\n",
+    "<< <urn:x:a> <urn:x:p> _:b0 >> <urn:x:q> \"v\"@en . # note\n",
+])
+def test_a_statement_line_is_read_whole(doc, monkeypatch):
+    """No token of a line the line regex reads reaches the token path."""
+    from og.formats import turtlestar
+
+    seen = []
+    real = turtlestar._tokenize
+
+    def tokenize(text, whole_line):
+        for tok in real(text, whole_line):
+            seen.append(tok)
+            yield tok
+
+    monkeypatch.setattr(turtlestar, "_tokenize", tokenize)
+    parse_turtle_star(doc + doc)
+    assert [tok[0] for tok in seen] == ["eof"]
