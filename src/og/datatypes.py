@@ -36,6 +36,10 @@ RDF_LANG_STRING = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#langString")
 #: Reserved datatype IRI of the flat list literal.
 OG_LIST = Iri("urn:og:List")
 
+#: The datatype constants above by their text, so that parsed literals share them.
+BUILT_IN = {dt.text: dt for dt in (XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN,
+                                   XSD_DATE, XSD_DATETIME, RDF_LANG_STRING, OG_LIST)}
+
 #: A language tag (Turtle's LANGTAG without the ``@``); unanchored.
 LANG_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 _INTEGER = re.compile(r"^[+-]?[0-9]+$")

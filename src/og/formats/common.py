@@ -14,6 +14,7 @@ import re
 from typing import Callable, Iterator
 
 from ..datatypes import (
+    BUILT_IN,
     LANG_TAG,
     RDF_LANG_STRING,
     XSD_BOOLEAN,
@@ -29,6 +30,7 @@ from ..store import Store
 from ..terms import (
     NAME,
     SID_IRI_PREFIX,
+    SID_RESERVED,
     BlankNode,
     Iri,
     LocalId,
@@ -36,9 +38,6 @@ from ..terms import (
     parse_sid_text,
     sid_from_iri_text,
 )
-
-#: The error for an ``urn:og:sid:`` IRI where a format has no sid references.
-SID_RESERVED = f"the {SID_IRI_PREFIX} namespace is reserved"
 
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
@@ -185,7 +184,7 @@ def scan_literal(cur: Cursor) -> Literal:
         cur.pos += 2
         dt_text = scan_iri_text(cur)
         try:
-            return Literal(lexical, Iri(dt_text))
+            return Literal(lexical, BUILT_IN.get(dt_text) or Iri(dt_text))
         except ValueError as e:
             cur.fail(str(e))
     return Literal(lexical, XSD_STRING)
@@ -384,11 +383,17 @@ def store_renames(store: Store, labels: set[str]) -> dict[str, str]:
     return rename_apart([label for label in labels if label in existing], existing, labels)
 
 
-def _renamed(t: Term, renames: dict[str, str]) -> Term:
-    """The term, with its blank label renamed when ``renames`` holds it."""
-    if isinstance(t, BlankNode) and t.label in renames:
-        return BlankNode(renames[t.label])
-    return t
+def blank_renamer(store: Store, labels: set[str]) -> Callable[[Term], Term] | None:
+    """:func:`store_renames` as a function on terms, which builds each renamed
+    blank node once; None when no label needs renaming."""
+    nodes = {label: BlankNode(new) for label, new in store_renames(store, labels).items()}
+    if not nodes:
+        return None
+
+    def renamed(t: Term) -> Term:
+        return nodes.get(t.label, t) if type(t) is BlankNode else t
+
+    return renamed
 
 
 def raw_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -15,10 +15,9 @@ from ..views import RdfGraph
 from .common import (
     Cursor,
     TermReader,
-    _renamed,
+    blank_renamer,
     end_of_statement,
     split_lines,
-    store_renames,
     term_renderer,
 )
 
@@ -47,8 +46,8 @@ def parse_ntriples(text: str, store: Store | None = None) -> Store:
             end_of_statement(cur)
         triples.append(triple)
 
-    if renames := store_renames(store, reader.blank_labels()):
-        triples = [[_renamed(t, renames) for t in triple] for triple in triples]
+    if rename := blank_renamer(store, reader.blank_labels()):
+        triples = [[rename(s), p, rename(o)] for s, p, o in triples]
     store.insert_new(triples)
     return store
 

@@ -12,17 +12,16 @@ Forward references are fine: lines may mention sids defined further down.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..statements import Statement, Term
+from ..statements import Statement, Term, _check_positions
 from ..store import Store
 from ..terms import SID_IRI_PREFIX, SidRef
 from .common import (
     Cursor,
     TermReader,
-    _renamed,
+    blank_renamer,
     end_of_statement,
     scan_term,
     split_lines,
-    store_renames,
     term_renderer,
 )
 
@@ -35,7 +34,11 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     ParseError; unresolvable sid references raise DanglingSidError.
     """
     store = store if store is not None else Store()
-    parsed: list[Statement] = []
+    # Into a store with blank nodes, the renames apart from its labels are
+    # known only after the last line: each line's parts are kept until then,
+    # so that each statement is built once.
+    defer = bool(store.blank_labels())
+    parsed: list = []
     seen: set[int] = set()  # the sids' integers
     reader = TermReader(ognq=True)
     for lineno, line in split_lines(text):
@@ -55,12 +58,16 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
             raise ParseError(f"duplicate sid {sid}", line=lineno)
         seen.add(sid.int)
         try:
-            parsed.append(Statement(src, label, value, sid))
+            if defer:
+                _check_positions(src, label, value, "statement")
+                parsed.append(parts)
+            else:
+                parsed.append(Statement(src, label, value, sid))
         except Exception as e:
             raise ParseError(str(e), line=lineno) from None
-    if renames := store_renames(store, reader.blank_labels()):
-        parsed = [Statement(_renamed(st.src, renames), st.label, _renamed(st.value, renames), st.sid)
-                  for st in parsed]
+    if defer:
+        rename = blank_renamer(store, reader.blank_labels()) or (lambda t: t)
+        parsed = [Statement(rename(src), label, rename(value), sid) for src, label, value, sid in parsed]
     store.add_statements(parsed)
     return store
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterator
 
-from ..datatypes import LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
+from ..datatypes import BUILT_IN, LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
-from ..terms import NAME, SID_IRI_PREFIX, BlankNode, Iri, LocalId, SidRef
+from ..terms import NAME, SID_IRI_PREFIX, SID_RESERVED, BlankNode, Iri, LocalId, SidRef
 from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph, shorten_iri
 from .common import (
     _ANY_TOKEN,
@@ -30,11 +30,10 @@ from .common import (
     _NODE_TOKEN,
     BARE_LITERAL,
     PN_PREFIX,
-    SID_RESERVED,
     Cursor,
     TermReader,
-    _renamed,
     bare_literal,
+    blank_renamer,
     escape_iri,
     escape_string,
     raw_lines,
@@ -42,7 +41,6 @@ from .common import (
     scan_blank,
     scan_iri_text,
     scan_string_body,
-    store_renames,
 )
 
 _PNAME = re.compile(f"(?:{PN_PREFIX.pattern})?:(?:{NAME.pattern})?")
@@ -289,7 +287,7 @@ class _Parser:
                     dt = self.expand(dt_tok)
                 else:
                     self.fail(dt_tok, "expected a datatype IRI")
-                return Literal(lexical, dt)
+                return Literal(lexical, BUILT_IN.get(dt.text, dt))
             return Literal(lexical, XSD_STRING)
         except ValueError as e:
             self.fail(tok, str(e))
@@ -355,8 +353,8 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     parser = _Parser(text, store)
     parser.parse()
     new = parser.new
-    if renames := store_renames(store, parser.blanks | parser.reader.blank_labels()):
-        new = [(_renamed(s, renames), p, _renamed(o, renames)) for s, p, o in new]
+    if rename := blank_renamer(store, parser.blanks | parser.reader.blank_labels()):
+        new = [(rename(s), p, rename(o)) for s, p, o in new]
     store.insert_new(new)
     return store
 

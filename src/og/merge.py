@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Union
 
 from .errors import BadTemplateError, ParseError, SidCollisionError
-from .statements import Statement, Term, blank_labels, is_ground, referenced_sids, rename_apart, term_key
+from .statements import Statement, Term, blank_labels, is_ground, rename_apart, term_key
 from .store import Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_key
 
@@ -141,28 +141,27 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     result = a.copy()
 
     b_statements = list(b)
-    copies = {st.sid for st in b_statements if result.get(st.sid) == st}
+    copies = {st.sid.int for st in b_statements if result.get(st.sid) == st}  # by the sid's integer
 
-    blank_map: dict[str, str] = {}
+    renamed: dict[str, BlankNode] = {}  # each renamed node built once
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
-        preserved = blank_labels(st for st in b_statements if st.sid in copies)
+        preserved = blank_labels(st for st in b_statements if st.sid.int in copies)
         b_labels = blank_labels(b_statements)
-        blank_map = rename_apart(b_labels - preserved, a.blank_labels(), b_labels)
+        renames = rename_apart(b_labels - preserved, a.blank_labels(), b_labels)
+        renamed = {label: BlankNode(new) for label, new in renames.items()}
 
     aligned: set[Term] = set()
 
     def rewrite(t: Term) -> Term:
         r = apply_alignment(t, rules)
-        if r != t:
+        if r is not t and r != t:
             aligned.add(t)
             return r
-        if isinstance(t, BlankNode) and t.label in blank_map:
-            return BlankNode(blank_map[t.label])
-        return t
+        return renamed.get(t.label, t) if type(t) is BlankNode else t
 
     to_add: list[Statement] = []
     for st in b_statements:
-        if st.sid in copies:
+        if st.sid.int in copies:
             continue
         rewritten = Statement(rewrite(st.src), rewrite(st.label), rewrite(st.value), st.sid)
         existing = result.get(st.sid)
@@ -176,7 +175,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     result.add_statements(to_add)
 
     report.identifiers_aligned = len(aligned)
-    report.blank_nodes_renamed = len(blank_map)
+    report.blank_nodes_renamed = len(renamed)
 
     if rules.edge_identity is EdgeIdentity.COLLAPSE_IDENTICAL_CONTENT:
         result, n = _collapse_identical_content(result)
@@ -226,18 +225,19 @@ def _collapse_identical_content(store: Store) -> tuple[Store, int]:
     return rebuilt, len(sid_map)
 
 
-def _filled(memo: dict, key, needs, make):
-    """``memo[key]``, computing first what it needs with an explicit stack."""
-    stack = [key]
+def _filled(memo: dict, st: Statement, needs, make):
+    """``memo`` of the statement, by its sid's integer, computing first the
+    statements it needs with an explicit stack."""
+    stack = [st]
     while stack:
         top = stack[-1]
-        if top in memo:
+        if top.sid.int in memo:
             stack.pop()
-        elif missing := [k for k in needs(top) if k not in memo]:
+        elif missing := [s for s in needs(top) if s.sid.int not in memo]:
             stack.extend(missing)
         else:
-            memo[top] = make(stack.pop())
-    return memo[key]
+            memo[top.sid.int] = make(stack.pop())
+    return memo[st.sid.int]
 
 
 class _AnnotationSignatures:
@@ -253,34 +253,37 @@ class _AnnotationSignatures:
     def __init__(self, store: Store):
         self.store = store
         self.ids: dict[tuple, int] = {}
-        self.contents: dict[Sid, int] = {}
-        self.nodes: dict[Sid, int] = {}
+        # by the sid's integer, as the store keys its indexes
+        self.contents: dict[int, int] = {}
+        self.nodes: dict[int, int] = {}
 
     def _id(self, form: tuple) -> int:
         return self.ids.setdefault(form, len(self.ids))
 
     def _term(self, t: Term) -> int:
         if isinstance(t, SidRef):
-            return self._id(("ref", _filled(self.contents, t.sid, self._references, self._content)))
+            return self._id(("ref", _filled(self.contents, self.store.get(t.sid), self._references, self._content)))
         return self._id(("t",) + term_key(t))
 
-    def _references(self, sid: Sid) -> set[Sid]:
-        return referenced_sids(self.store.get(sid))
+    def _references(self, st: Statement) -> list[Statement]:
+        return [self.store.get(t.sid) for t in (st.src, st.value) if isinstance(t, SidRef)]
 
-    def _content(self, sid: Sid) -> int:
-        st = self.store.get(sid)
+    def _content(self, st: Statement) -> int:
         return self._id((self._term(st.src), self._term(st.label), self._term(st.value)))
 
-    def _node(self, sid: Sid) -> int:
-        here, at = SidRef(sid), self._id(("@",))
+    def _referring(self, st: Statement) -> list[Statement]:
+        return self.store.referring(st.sid)
+
+    def _node(self, st: Statement) -> int:
+        here, at = SidRef(st.sid), self._id(("@",))
         return self._id(tuple(sorted(
-            (at if st.src == here else self._term(st.src), self._term(st.label),
-             at if st.value == here else self._term(st.value), self.nodes[st.sid])
-            for st in map(self.store.get, self.store.referrers(sid))
+            (at if r.src == here else self._term(r.src), self._term(r.label),
+             at if r.value == here else self._term(r.value), self.nodes[r.sid.int])
+            for r in self._referring(st)
         )))
 
     def node(self, sid: Sid) -> int:
-        return _filled(self.nodes, sid, self.store.referrers, self._node)
+        return _filled(self.nodes, self.store.get(sid), self._referring, self._node)
 
 
 def _collapse_with_properties(store: Store) -> int:

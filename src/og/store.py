@@ -40,7 +40,7 @@ from .statements import (
     _check_positions,
     term_key,
 )
-from .terms import BlankNode, Iri, LocalId, Sid, SidFactory, SidRef
+from .terms import SID_IRI_PREFIX, SID_RESERVED, BlankNode, Iri, LocalId, Sid, SidFactory, SidRef
 
 #: Reserved label for graph-membership assertions.
 IN_GRAPH = Iri("urn:og:inGraph")
@@ -109,7 +109,12 @@ class Store:
 
     def referrers(self, sid: Sid) -> set[Sid]:
         """Sids of assertions that reference the given sid directly."""
-        return {self._by_sid[r].sid for r in _members(self._referrers, _key(sid))}
+        return {st.sid for st in self.referring(sid)}
+
+    def referring(self, sid: Sid) -> list[Statement]:
+        """The assertions that reference the given sid directly, in no fixed
+        order; unlike :meth:`referrers`, with no sid hashed."""
+        return [self._by_sid[r] for r in _members(self._referrers, _key(sid))]
 
     def depth(self, sid: Sid) -> int:
         """0 for a ground statement, else one more than its deepest reference."""
@@ -124,10 +129,25 @@ class Store:
         return self._blanks.keys()
 
     def copy(self) -> "Store":
-        """A content-equal store that goes on issuing sids where this one is."""
+        """A content-equal store that goes on issuing sids where this one is.
+
+        It copies the indexes rather than installing the statements again:
+        the two stores share their immutable statements and terms, and each
+        group of two or more members is copied, so a change to one store
+        never shows in the other."""
         out = Store()
+        out._by_sid = self._by_sid.copy()  # in reference order, as __iter__ promises
+        for name in ("_by_content", "_by_src", "_referrers"):
+            index = getattr(self, name).copy()  # keeps each key's hash: no term __hash__ runs
+            for key, group in index.items():
+                if type(group) is set:
+                    index[key] = group.copy()
+            setattr(out, name, index)
+        out._nodes = self._nodes.copy()
+        out._blanks = self._blanks.copy()
+        out._depth = self._depth.copy()
+        out._hidden = self._hidden.copy()
         out._sids = copy.copy(self._sids)
-        out.add_statements(self)
         return out
 
     # --- insertion ------------------------------------------------------
@@ -174,15 +194,18 @@ class Store:
 
         A src or value that is an int stands for the statement at that index
         of ``triples``, which must be an earlier one. The whole batch is
-        checked first (positions by the rule of :class:`Statement`, every
-        SidRef present, every int an earlier index), so on error no sid is
-        issued and the store is unchanged. Equal terms of the batch are
-        stored as one object. Returns the new sids.
+        checked first (positions by the rule of :class:`Statement`, no
+        ``urn:og:sid:`` IRI in any position, every SidRef present, every int
+        an earlier index), so on error no sid is issued and the store is
+        unchanged. Equal terms of the batch are stored as one object.
+        Returns the new sids.
         """
         live = self._by_sid
         for i, (src, label, value) in enumerate(triples):
             _check_positions(src, label, value, "statement")
-            for t in (src, value):
+            for t in (src, label, value):
+                if type(t) is Iri and t.text.startswith(SID_IRI_PREFIX):
+                    raise PositionError(SID_RESERVED)
                 if isinstance(t, int) and not 0 <= t < i:
                     raise DanglingSidError(f"triple {i} refers to triple {t}, not an earlier one")
                 if isinstance(t, SidRef) and _key(t.sid) not in live:
@@ -218,9 +241,11 @@ class Store:
         """Install pre-built statements, keeping their sids.
 
         Accepts any order (references may arrive before their targets within
-        the batch). Raises SidCollisionError when a sid is already taken and
-        DanglingSidError when references cannot be resolved (absent or
-        cyclic). Atomic: on error the store is left unchanged.
+        the batch). Raises SidCollisionError when a sid is already taken,
+        PositionError for an ``urn:og:sid:`` IRI in any position (a literal's
+        datatype may name it) and DanglingSidError when references cannot be
+        resolved (absent or cyclic). Atomic: on error the store is left
+        unchanged.
         """
         live = self._by_sid
         batch: dict[int, Statement] = {}
@@ -228,6 +253,11 @@ class Store:
             sid = st.sid.int
             if sid in live or sid in batch:
                 raise SidCollisionError(f"sid already present: {st.sid}")
+            src, label, value = st.src, st.label, st.value
+            if (type(src) is Iri and src.text.startswith(SID_IRI_PREFIX)
+                    or type(label) is Iri and label.text.startswith(SID_IRI_PREFIX)
+                    or type(value) is Iri and value.text.startswith(SID_IRI_PREFIX)):
+                raise PositionError(SID_RESERVED)
             batch[sid] = st
         # Kahn's order over the references into the batch, before touching
         # the store. A statement goes in at its own place in the batch unless

@@ -20,6 +20,9 @@ sid_key = attrgetter("int")
 
 #: Reserved namespace for rendering sids as IRIs on RDF-only surfaces.
 SID_IRI_PREFIX = "urn:og:sid:"
+#: The error for an ``urn:og:sid:`` IRI in a statement: sids are referenced
+#: as SidRef terms, and the namespace is kept for their IRI form.
+SID_RESERVED = f"the {SID_IRI_PREFIX} namespace is reserved"
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 #: A blank node label, and the local part of a Turtle prefixed name (Turtle's

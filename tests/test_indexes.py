@@ -35,6 +35,7 @@ from og import (
     LpgViewConfig,
     OgError,
     RdfMode,
+    ReferencedSidError,
     SidRef,
     StatementPattern,
     Store,
@@ -141,10 +142,12 @@ def test_indexes_after_deletions_equal_a_fresh_build(data, namespace):
     store = data.draw(spelled_stores(namespace))
     fresh = Store()
     fresh.add_statements(store.statements())
-    for built in (store, fresh):
+    copied = store.copy()
+    for built in (store, fresh, copied):
         built.match(StatementPattern(label=IN_GRAPH))
-    for index in ("_by_content", "_referrers", "_by_src", "_nodes", "_by_label"):
-        assert getattr(store, index) == getattr(fresh, index), index
+    for other in (fresh, copied):
+        for index in ("_by_content", "_referrers", "_by_src", "_nodes", "_by_label"):
+            assert getattr(store, index) == getattr(other, index), index
 
 
 def assert_label_matches_equal_the_scan(store):
@@ -203,6 +206,66 @@ def test_label_index_upkeep_equals_the_scan(data, namespace):
             except OgError:
                 pass  # the source is no vertex of the view
         assert_label_matches_equal_the_scan(store)
+
+
+#: Every index of the store, as a fresh build of its statements makes it.
+INDEXES = ("_by_sid", "_by_content", "_referrers", "_by_src", "_by_label", "_nodes", "_blanks", "_depth", "_hidden")
+
+
+def assert_indexes_equal_a_fresh_build(store):
+    fresh = Store()
+    fresh.add_statements(store.statements())
+    if store._by_label is not None:
+        fresh.match(StatementPattern(label=IN_GRAPH))
+    for index in INDEXES:
+        assert getattr(store, index) == getattr(fresh, index), index
+
+
+def update(data, store, namespace):
+    """One drawn update: an insert, a delete under either policy, a graph
+    membership, or an LPG edge or property update."""
+    statements = store.statements()
+    step = data.draw(st.sampled_from(["insert", "delete", "member", "lpg"] if statements else ["insert"]))
+    if step == "insert":
+        store.insert_new(data.draw(batches(store, namespace)))
+    elif step == "delete":
+        try:
+            store.delete_statement(data.draw(st.sampled_from(statements)).sid, data.draw(st.sampled_from(DeletePolicy)))
+        except ReferencedSidError:
+            pass
+    elif step == "member":
+        graph = data.draw(st.sampled_from([Iri("urn:g:one"), LocalId("g2")]))
+        store.set_graph_membership(data.draw(st.sampled_from(statements)).sid, graph)
+    else:
+        cfg = LpgViewConfig(default_namespace=namespace, prefixes=PREFIXES)
+        src = data.draw(st.sampled_from(statements)).src
+        vertex = "_:new" if isinstance(src, SidRef) else _display(src, cfg)
+        try:
+            lpg_add_edge(store, vertex, "_:new", "met", {"w": 1}, auto_create=True, config=cfg)
+            lpg_set_property(store, vertex, data.draw(st.sampled_from(["label", "w", "name"])), 7, cfg)
+        except OgError:
+            pass  # the source is no vertex of the view
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), namespace=st.sampled_from(EXPOSING))
+def test_a_copy_and_its_original_change_apart(data, namespace):
+    """``Store.copy`` copies the indexes: after any updates to either store,
+    each one's indexes are what a fresh build of its statements makes, the
+    other's text is unchanged, and a copy issues the sid its store would."""
+    store = data.draw(spelled_stores(namespace))
+    if data.draw(st.booleans()):
+        store.match(StatementPattern(label=IN_GRAPH))
+    copied = store.copy()
+    assert copied._by_label is None
+    assert_indexes_equal_a_fresh_build(copied)
+    for _ in range(data.draw(st.integers(1, 5))):
+        for this, other in ((store, copied), (copied, store)):
+            before = serialize_ognq(other)
+            update(data, this, namespace)
+            assert_indexes_equal_a_fresh_build(this)
+            assert serialize_ognq(other) == before
+            assert this.copy().fresh_sid() == this.fresh_sid()
 
 
 def test_only_a_match_by_label_builds_the_label_index(multi_edge_store):

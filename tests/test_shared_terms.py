@@ -71,3 +71,27 @@ def test_a_batch_stores_equal_terms_as_one_object():
     ])
     one, two = store.get(first), store.get(second)
     assert all(x is y for x, y in zip(one.content, two.content))
+
+
+INTEGER = f"<{XSD_INTEGER.text}>"
+TYPED = {
+    parse_ognq: f'''<urn:x:s> <urn:x:p> "1"^^{INTEGER} <urn:og:sid:00000000-0000-0000-0000-000000000001> .
+<urn:x:s> <urn:x:p>  "2"^^{INTEGER}\t<urn:og:sid:00000000-0000-0000-0000-000000000002> .
+''',
+    parse_ntriples: f'''<urn:x:s> <urn:x:p> "1"^^{INTEGER} .
+<urn:x:s> <urn:x:p> "2"^^{INTEGER}.
+''',
+    parse_turtle_star: f'''@prefix xsd: <{XSD_INTEGER.text[:-len("integer")]}> .
+<urn:x:s> <urn:x:p> "1"^^{INTEGER} .
+<urn:x:s> <urn:x:p> "2"^^xsd:integer, "3"^^{INTEGER} ; <urn:x:q> 4 .
+''',
+}
+
+
+@pytest.mark.parametrize("parse", TYPED, ids=lambda p: p.__name__)
+def test_a_parsed_datatype_is_the_built_in_constant(parse):
+    """Every typed literal of a built-in datatype shares the constant, on the
+    line path and on the token path alike."""
+    store = parse(TYPED[parse], Store(seed=0))
+    assert len(store) == (4 if parse is parse_turtle_star else 2)
+    assert all(st.value.datatype is XSD_INTEGER for st in store)

@@ -20,6 +20,7 @@ from og import (
     StatementPattern,
     Store,
     XSD_INTEGER,
+    rdf_insert_triple,
     referenced_sids,
     serialize_ognq,
 )
@@ -195,6 +196,8 @@ class TestLookup:
         since = toy_store.statements()[-1].sid
         assert toy_store.referrers(knows) == {since}
         assert toy_store.referrers(since) == set()
+        assert toy_store.referring(knows) == [toy_store.get(since)]
+        assert toy_store.referring(since) == []
 
     def test_copy_is_independent(self, toy_store):
         dup = toy_store.copy()
@@ -276,3 +279,41 @@ class TestBatchOrder:
         assert str(raised.value) == f"unresolvable references (absent or cyclic) from: {stuck}"
         assert serialize_ognq(toy_store) == before
         assert toy_store.fresh_sid() == issues_next
+
+
+class TestSidNamespace:
+    """An ``urn:og:sid:`` IRI names a statement only as a SidRef, so no entry
+    point stores one as a plain IRI (which OG-NQ could not write back); a
+    literal's datatype may name the namespace."""
+
+    RESERVED = Iri("urn:og:sid:00000000-0000-0000-0000-00000000beef")
+
+    def entry_points(self, store, sid):
+        r = self.RESERVED
+        return {
+            "insert_ground source": lambda: store.insert_ground(r, LocalId("p"), Literal("v")),
+            "insert_ground label": lambda: store.insert_ground(LocalId("x"), r, Literal("v")),
+            "insert_ground value": lambda: store.insert_ground(LocalId("x"), LocalId("p"), r),
+            "insert_assertion": lambda: store.insert_assertion(SidRef(sid), LocalId("by"), r),
+            "rdf_insert_triple": lambda: rdf_insert_triple(store, Iri("urn:x:s"), Iri("urn:x:p"), r),
+            "add_statements": lambda: store.add_statements(
+                [Statement(LocalId("ok"), LocalId("p"), LocalId("q"), uuid.UUID(int=100)),
+                 Statement(SidRef(uuid.UUID(int=100)), LocalId("by"), r, uuid.UUID(int=101))]
+            ),
+        }
+
+    @pytest.mark.parametrize("entry", ["insert_ground source", "insert_ground label", "insert_ground value",
+                                       "insert_assertion", "rdf_insert_triple", "add_statements"])
+    def test_a_sid_iri_is_refused_and_the_store_untouched(self, toy_store, entry):
+        sid = toy_store.statements()[0].sid
+        before = serialize_ognq(toy_store)
+        issues_next = toy_store.copy().fresh_sid()
+        with pytest.raises(PositionError, match="the urn:og:sid: namespace is reserved"):
+            self.entry_points(toy_store, sid)[entry]()
+        assert serialize_ognq(toy_store) == before
+        assert toy_store.fresh_sid() == issues_next
+
+    def test_a_datatype_may_name_the_namespace(self):
+        store = seeded()
+        store.insert_ground(LocalId("x"), LocalId("p"), Literal("v", Iri("urn:og:sid:type")))
+        assert '"v"^^<urn:og:sid:type>' in serialize_ognq(store)
