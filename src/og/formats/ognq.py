@@ -12,7 +12,7 @@ Forward references are fine: lines may mention sids defined further down.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..statements import Statement, Term, _check_positions
+from ..statements import Statement, Term
 from ..store import Store
 from ..terms import SID_IRI_PREFIX, SidRef
 from .common import (
@@ -34,11 +34,7 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     ParseError; unresolvable sid references raise DanglingSidError.
     """
     store = store if store is not None else Store()
-    # Into a store with blank nodes, the renames apart from its labels are
-    # known only after the last line: each line's parts are kept until then,
-    # so that each statement is built once.
-    defer = bool(store.blank_labels())
-    parsed: list = []
+    parsed: list[Statement] = []
     seen: set[int] = set()  # the sids' integers
     reader = TermReader(ognq=True)
     for lineno, line in split_lines(text):
@@ -58,18 +54,19 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
             raise ParseError(f"duplicate sid {sid}", line=lineno)
         seen.add(sid.int)
         try:
-            if defer:
-                _check_positions(src, label, value, "statement")
-                parsed.append(parts)
-            else:
-                parsed.append(Statement(src, label, value, sid))
+            parsed.append(Statement(src, label, value, sid))
         except Exception as e:
             raise ParseError(str(e), line=lineno) from None
-    if defer:
-        rename = blank_renamer(store, reader.blank_labels()) or (lambda t: t)
-        parsed = [Statement(rename(src), label, rename(value), sid) for src, label, value, sid in parsed]
+    if rename := blank_renamer(store, reader.blank_labels()):
+        parsed = [_renamed(st, rename) for st in parsed]
     store.add_statements(parsed)
     return store
+
+
+def _renamed(st: Statement, rename) -> Statement:
+    """The statement with its blank nodes renamed; itself when none is."""
+    src, value = rename(st.src), rename(st.value)
+    return st if src is st.src and value is st.value else Statement(src, st.label, value, st.sid)
 
 
 def serialize_ognq(store: Store) -> str:

@@ -204,7 +204,7 @@ class Store:
         for i, (src, label, value) in enumerate(triples):
             _check_positions(src, label, value, "statement")
             for t in (src, label, value):
-                if type(t) is Iri and t.text.startswith(SID_IRI_PREFIX):
+                if _sid_iri(t):
                     raise PositionError(SID_RESERVED)
                 if isinstance(t, int) and not 0 <= t < i:
                     raise DanglingSidError(f"triple {i} refers to triple {t}, not an earlier one")
@@ -253,10 +253,7 @@ class Store:
             sid = st.sid.int
             if sid in live or sid in batch:
                 raise SidCollisionError(f"sid already present: {st.sid}")
-            src, label, value = st.src, st.label, st.value
-            if (type(src) is Iri and src.text.startswith(SID_IRI_PREFIX)
-                    or type(label) is Iri and label.text.startswith(SID_IRI_PREFIX)
-                    or type(value) is Iri and value.text.startswith(SID_IRI_PREFIX)):
+            if _sid_iri(st.src) or _sid_iri(st.label) or _sid_iri(st.value):
                 raise PositionError(SID_RESERVED)
             batch[sid] = st
         # Kahn's order over the references into the batch, before touching
@@ -426,6 +423,12 @@ def _key(sid) -> int | None:
 def _is_membership(label: Term) -> bool:
     """``label == IN_GRAPH``, without the dataclass ``__eq__`` call."""
     return type(label) is Iri and label.text == IN_GRAPH.text
+
+
+def _sid_iri(t) -> bool:
+    """A plain IRI in the ``urn:og:sid:`` namespace, which the store refuses:
+    a statement is named only by a SidRef."""
+    return type(t) is Iri and t.text.startswith(SID_IRI_PREFIX)
 
 
 # Most keys of a group index have one member, and a set of one costs 216
