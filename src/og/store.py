@@ -53,8 +53,9 @@ class DeletePolicy(Enum):
 
 class Store:
     """Mutable statement store with sid, content, source, node and
-    reverse-reference indexes, and a label index that the first
-    :meth:`match` by label builds (a :meth:`copy` starts without one).
+    reverse-reference indexes, and a label index, of each label's statements
+    in sid order, that the first :meth:`match` by label builds (a
+    :meth:`copy` starts without one).
 
     Iteration yields each statement after the statements it references,
     which is not in general sid order; :meth:`statements` lists in sid order.
@@ -71,8 +72,10 @@ class Store:
         self._referrers: dict[int, int | set[int]] = {}
         # statements by source, for every source that is not a SidRef
         self._by_src: dict[Term, int | set[int]] = {}
-        # statements by label; None until the first match by label builds it
-        self._by_label: dict[Term, int | set[int]] | None = None
+        # each label's statements by sid integer, in sid order but for the
+        # labels in _unsorted; None until the first match by label builds it,
+        # with _unsorted, so a store never asked by label allocates neither
+        self._by_label: dict[Term, dict[int, Statement]] | None = None
         # occurrences of each node (source, or non-literal value) of the
         # ground statements outside graph membership
         self._nodes: dict[Term, int] = {}
@@ -160,7 +163,10 @@ class Store:
         if self._by_content.setdefault(key, sid) is not sid:
             _add(self._by_content, key, sid)
         if self._by_label is not None:
-            _add(self._by_label, label, sid)
+            group = self._by_label.setdefault(label, {})
+            if group and sid < next(reversed(group)):
+                self._unsorted.add(label)
+            group[sid] = st
         blanks = self._blanks
         if type(src) is BlankNode:
             blanks[src.label] = blanks.get(src.label, 0) + 1
@@ -309,7 +315,11 @@ class Store:
                     self._blanks[t.label] = n
         _discard(self._by_content, (src, label, value), sid)
         if self._by_label is not None:
-            _discard(self._by_label, label, sid)
+            group = self._by_label[label]
+            del group[sid]
+            if not group:
+                del self._by_label[label]
+                self._unsorted.discard(label)
         if isinstance(value, SidRef):
             _discard(self._referrers, value.sid.int, sid)
         if isinstance(src, SidRef):
@@ -354,8 +364,11 @@ class Store:
         """Statements matching the pattern, in sid order.
 
         Looks up by sid, by full content, by source or by label; a pattern
-        with only a value scans the store. The first pattern with a label and
-        no source builds the label index in one walk of the store.
+        with only a value scans the store and sorts what matches. The first
+        pattern with a label and no source builds the label index in one
+        walk of the store in sid order. Inserts keep each label's statements
+        in sid order, except that a sid below its label's last one marks the
+        label, and the next match by that label sorts its statements once.
         """
         if pattern.sid is not None:
             st = self.get(pattern.sid)  # by the sid's integer: match the rest without UUID.__eq__
@@ -368,14 +381,19 @@ class Store:
         elif pattern.src is not None:
             sids = _members(self._by_src, pattern.src)
         elif pattern.label is not None:
+            label = pattern.label
             if self._by_label is None:
-                self._by_label = {}
-                for st in self:
-                    _add(self._by_label, st.label, st.sid.int)
-            found = [self._by_sid[s] for s in sorted(_members(self._by_label, pattern.label))]
-            return found if pattern.value is None else [st for st in found if pattern.value == st.value]
+                self._by_label, self._unsorted = {}, set()
+                for s in sorted(self._by_sid):
+                    st = self._by_sid[s]
+                    self._by_label.setdefault(st.label, {})[s] = st
+            elif label in self._unsorted:
+                self._unsorted.remove(label)
+                self._by_label[label] = dict(sorted(self._by_label[label].items()))
+            found = self._by_label.get(label, {}).values()
+            return list(found) if pattern.value is None else [st for st in found if pattern.value == st.value]
         else:
-            sids = self._by_sid
+            return sorted((st for st in self if pattern.matches(st)), key=lambda st: st.sid.int)
         found = (self._by_sid[s] for s in sorted(sids))
         return [st for st in found if pattern.matches(st)]
 

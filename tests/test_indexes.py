@@ -10,6 +10,7 @@ spelled several ways in one store.
 """
 
 import uuid
+from unittest import mock
 from urllib.parse import unquote
 
 import oracles
@@ -37,6 +38,7 @@ from og import (
     RdfMode,
     ReferencedSidError,
     SidRef,
+    Statement,
     StatementPattern,
     Store,
     dataset_view,
@@ -205,6 +207,63 @@ def test_label_index_upkeep_equals_the_scan(data, namespace):
                 lpg_set_property(store, vertex, data.draw(st.sampled_from(["label", "w", "name"])), 7, cfg)
             except OgError:
                 pass  # the source is no vertex of the view
+        assert_label_matches_equal_the_scan(store)
+
+
+@st.composite
+def lower_statements(draw, store, namespace):
+    """One to three new statements, each under an absent sid below the last
+    sid of its label's statements, so each lands before that label's last
+    statement; a source or value may reference a stored statement."""
+    statements = store.statements()
+    taken = {s.sid.int for s in statements}
+    refs = st.sampled_from([SidRef(s.sid) for s in statements])
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        label = draw(st.sampled_from(statements)).label
+        last = max(s.sid.int for s in statements if s.label == label)
+        k = draw(st.integers(0, max(last - 1, 0)))
+        while k in taken and k:
+            k -= 1
+        if k in taken:
+            continue
+        taken.add(k)
+        src = draw(st.one_of(spelled_terms(namespace), refs))
+        value = draw(st.one_of(position(store, namespace, lambda st_: st_.value), refs))
+        out.append(Statement(src, label, value, uuid.UUID(int=k)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), namespace=st.sampled_from(NAMESPACES))
+def test_label_matches_stay_in_sid_order_after_out_of_order_installs(data, namespace):
+    """The label index keeps each label's statements in sid order through
+    uuid4 sids, loads and parses of sids below a label's last one, and
+    cascade deletes: every label and label+value match equals the scan, in
+    the same order, on the read that sorts a group and on the read after."""
+    store = Store()  # unseeded: insert_new issues uuid4 sids
+    store.add_statements(data.draw(spelled_stores(namespace)).statements())
+    store.match(StatementPattern(label=LocalId("label")))
+    # uuid4 from a drawn generator, so that a failing example replays
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def uuid4():
+        return uuid.UUID(int=rng.getrandbits(128), version=4)
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        statements = store.statements()
+        step = data.draw(st.sampled_from(["insert", "add", "parse", "delete"] if statements else ["insert"]))
+        if step == "insert":
+            with mock.patch("uuid.uuid4", uuid4):
+                store.insert_new(data.draw(batches(store, namespace)))
+        elif step == "add":
+            store.add_statements(data.draw(lower_statements(store, namespace)))
+        elif step == "parse":
+            parse_ognq(oracles.ognq_text(data.draw(lower_statements(store, namespace))), store)
+        else:
+            store.delete_statement(data.draw(st.sampled_from(statements)).sid, DeletePolicy.CASCADE)
+        assert_label_matches_equal_the_scan(store)
+        assert not store._unsorted  # every label was read, so the next reads find each group sorted
         assert_label_matches_equal_the_scan(store)
 
 

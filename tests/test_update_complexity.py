@@ -5,11 +5,15 @@ source run with ``Store.statements`` made to raise and the sid index made to
 refuse a walk, so an operation that falls back to a full scan fails here
 instead of only getting slower as the store grows. Once one match by label
 has built the label index, ``match`` by label, with or without a value, and
-every update entry point after it run under the same guard.
+every update entry point after it run under the same guard, and a match by
+label sorts nothing but a label that an install put out of sid order, once.
 """
+
+import uuid
 
 import pytest
 
+import og.store
 from og import (
     AmbiguityPolicy,
     AmbiguousTargetError,
@@ -19,6 +23,7 @@ from og import (
     Literal,
     LocalId,
     SidRef,
+    Statement,
     StatementPattern,
     Store,
     XSD_INTEGER,
@@ -137,3 +142,33 @@ def test_match_by_label(store):
     assert edge not in {st.src.sid for st in since} and met in {st.src.sid for st in since}
     assert len(since) == VERTICES + 1
     assert len(store.match(StatementPattern(label=NAME, value=Literal("Vee")))) == 1
+
+
+@pytest.mark.parametrize("store", ["label-indexed"], indirect=True)
+def test_match_by_label_sorts_once_after_an_out_of_order_install(store, monkeypatch):
+    """The label index keeps each label's statements in sid order, so a match
+    by label sorts nothing; an install below its label's last sid costs the
+    next match by that label one sort, and the match after it none."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(og.store, "sorted", counted, raising=False)
+
+    def match(**pattern):
+        calls.clear()
+        found = store.match(StatementPattern(**pattern))
+        return found, len(calls)
+
+    found, sorts = match(label=KNOWS)
+    assert sorts == 0 and len(found) == VERTICES
+    assert match(label=NAME, value=Literal("n7"))[1] == 0
+    store.insert_ground(LocalId("v0"), KNOWS, LocalId("v5"))  # a fresh sid, above every other
+    assert match(label=KNOWS)[1] == 0
+    store.add_statements([Statement(LocalId("v0"), KNOWS, LocalId("v9"), uuid.UUID(int=0))])
+    found, sorts = match(label=KNOWS)
+    assert sorts == 1 and found[0].sid == uuid.UUID(int=0) and len(found) == VERTICES + 2
+    assert match(label=KNOWS) == (found, 0)
+    assert match(label=KNOWS, value=LocalId("v9"))[1] == 0
