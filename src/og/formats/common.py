@@ -230,38 +230,34 @@ def end_of_statement(cur: Cursor) -> None:
         cur.fail("unexpected content after '.'")
 
 
-# Escape-free term tokens, built from the scanners' own rules. Each token of
-# a line ends where its scanner stops: nothing matched here can continue into
-# the space, tab or statement end that must follow it.
+# Escape-free term tokens, built from the scanners' own rules, for the line
+# regexes each format builds. Each token of a line ends where its scanner
+# stops: nothing matched here can continue into the space, tab or statement
+# end that must follow it.
 _IRI_TOKEN = f"<{_IRI_RUN.pattern}>"
 _NODE_TOKEN = f"{_IRI_TOKEN}|_:{NAME.pattern}"
 _ANY_TOKEN = f'{_NODE_TOKEN}|"{_STRING_RUN.pattern}"(?:@{LANG_TAG.pattern}|\\^\\^{_IRI_TOKEN})?'
 _END = r"[ \t]*\.[ \t]*(?:#.*)?"
-_NT_LINE = re.compile(rf"[ \t]*({_NODE_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_ANY_TOKEN}){_END}")
-_OGNQ_TERM = f'({_ANY_TOKEN}|local:"{_STRING_RUN.pattern}")'
-_OGNQ_LINE = re.compile(rf"[ \t]*{_OGNQ_TERM}[ \t]+{_OGNQ_TERM}[ \t]+{_OGNQ_TERM}"
-                        rf"[ \t]+(<{re.escape(SID_IRI_PREFIX)}{_IRI_RUN.pattern}>){_END}")
+_SID_TOKEN = "<" + SID_IRI_PREFIX
 
 
 class TermReader:
     """Reads the terms of one parse call's statement lines, each distinct
     token once: a dict from token text to term lives as long as the reader.
 
-    :meth:`line` reads a line of escape-free tokens, one space or tab apart,
-    with one regex, an N-Triples line by its positions (node, IRI, any term)
-    and an OG-NQ line as three terms and its sid. A token that is not yet in
-    the dict is scanned at its own column, so a bad one fails as the
-    scanners make it fail anywhere; only a term read without error is kept.
-    Any other line is for the caller to read with :meth:`scan`. A caller
-    with its own line regex reads each whole token with :meth:`term`. Equal
-    terms spelled apart (escaped and not) are kept as one object.
+    The caller's ``pattern`` matches a whole statement line, one group per
+    term token. :meth:`line` reads each group that matched with :meth:`term`
+    and reports nothing: it returns None for a line the pattern does not
+    match or with a token the scanners refuse, and the caller reads that
+    line term by term with :meth:`scan`, which fails where the token does.
+    Equal terms spelled apart (escaped and not) are kept as one object.
     """
 
     __slots__ = ("ognq", "pattern", "tokens", "terms")
 
-    def __init__(self, *, ognq: bool = False):
+    def __init__(self, pattern: re.Pattern, *, ognq: bool = False):
         self.ognq = ognq
-        self.pattern = _OGNQ_LINE if ognq else _NT_LINE
+        self.pattern = pattern
         self.tokens: dict[str, Term] = {}
         self.terms: dict[Term, Term] = {}  # one object per distinct term
 
@@ -273,42 +269,32 @@ class TermReader:
     def term(self, token: str) -> Term | None:
         """The term of one whole escape-free token, scanned the first time and
         then read from the dict; None, and nothing kept, when the scanner
-        refuses it."""
+        refuses it. An OG-NQ sid IRI is read from its text, unscanned."""
         t = self.tokens.get(token)
         if t is None:
             try:
-                t = self.tokens[token] = self.scan(Cursor(token, 0))
-            except ParseError:
+                if self.ognq and token.startswith(_SID_TOKEN):
+                    t = SidRef(parse_sid_text(token[len(_SID_TOKEN):-1]))
+                else:
+                    t = self.scan(Cursor(token, 0))
+            except (ParseError, ValueError):
                 return None
+            self.tokens[token] = t
         return t
 
-    def line(self, text: str, lineno: int) -> list | None:
-        """The line's three terms, and an OG-NQ line's sid; None when the line
-        is not one the regex reads."""
+    def line(self, text: str) -> list | None:
+        """The terms of the line's tokens, in order; None when the pattern
+        does not match it or a token is refused."""
         m = self.pattern.fullmatch(text)
         if m is None:
             return None
-        tokens = self.tokens
-        parts = []
-        for i in (1, 2, 3):
-            t = tokens.get(m.group(i))
-            if t is None:
-                cur = Cursor(text, lineno)
-                cur.pos = m.start(i)
-                t = tokens[m.group(i)] = self.scan(cur)
-            parts.append(t)
-        if self.ognq:
-            # the sid's token is its references' too: they share one UUID
-            ref = tokens.get(m.group(4))
-            if ref is None:
-                try:
-                    ref = tokens[m.group(4)] = SidRef(parse_sid_text(m.group(4)[len(SID_IRI_PREFIX) + 1:-1]))
-                except ValueError:
-                    cur = Cursor(text, lineno)
-                    cur.pos = m.start(4)
-                    scan_term(cur, ognq=True)  # raises the scanner's error for a malformed sid IRI
-            parts.append(ref.sid)
-        return parts
+        terms = []
+        for token in m.groups():
+            if token is not None:
+                if (t := self.term(token)) is None:
+                    return None
+                terms.append(t)
+        return terms
 
     def blank_labels(self) -> set[str]:
         """The labels of every blank node read so far."""

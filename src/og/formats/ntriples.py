@@ -7,12 +7,18 @@ order. Comments and blank lines are tolerated; errors carry line and column.
 
 from __future__ import annotations
 
+import re
+
 from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
 from ..terms import BlankNode, Iri
 from ..views import RdfGraph
 from .common import (
+    _ANY_TOKEN,
+    _END,
+    _IRI_TOKEN,
+    _NODE_TOKEN,
     Cursor,
     TermReader,
     blank_renamer,
@@ -21,14 +27,18 @@ from .common import (
     term_renderer,
 )
 
+#: A triple on one line, a node, an IRI and any term, of escape-free tokens
+#: one or more spaces or tabs apart.
+_LINE = re.compile(rf"[ \t]*({_NODE_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+({_ANY_TOKEN}){_END}")
+
 
 def parse_ntriples(text: str, store: Store | None = None) -> Store:
     """Parse N-Triples into ground statements under fresh sids."""
     store = store if store is not None else Store()
     triples: list[list[Term]] = []
-    reader = TermReader()
+    reader = TermReader(_LINE)
     for lineno, line in split_lines(text):
-        triple = reader.line(line, lineno)
+        triple = reader.line(line)
         if triple is None:
             cur = Cursor(line, lineno)
             cur.skip_ws()

@@ -11,11 +11,19 @@ Forward references are fine: lines may mention sids defined further down.
 
 from __future__ import annotations
 
+import re
+
 from ..errors import ParseError
 from ..statements import Statement, Term
 from ..store import Store
 from ..terms import SID_IRI_PREFIX, SidRef
 from .common import (
+    _ANY_TOKEN,
+    _END,
+    _IRI_RUN,
+    _LOCAL_MARK,
+    _SID_TOKEN,
+    _STRING_RUN,
     Cursor,
     TermReader,
     blank_renamer,
@@ -24,6 +32,12 @@ from .common import (
     split_lines,
     term_renderer,
 )
+
+#: A statement on one line, three terms and a sid IRI, of escape-free tokens
+#: one or more spaces or tabs apart.
+_TERM = f'({_ANY_TOKEN}|{_LOCAL_MARK}{_STRING_RUN.pattern}")'
+_LINE = re.compile(rf"[ \t]*{_TERM}[ \t]+{_TERM}[ \t]+{_TERM}"
+                   rf"[ \t]+({re.escape(_SID_TOKEN)}{_IRI_RUN.pattern}>){_END}")
 
 
 def parse_ognq(text: str, store: Store | None = None) -> Store:
@@ -36,9 +50,9 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     store = store if store is not None else Store()
     parsed: list[Statement] = []
     seen: set[int] = set()  # the sids' integers
-    reader = TermReader(ognq=True)
+    reader = TermReader(_LINE, ognq=True)
     for lineno, line in split_lines(text):
-        parts = reader.line(line, lineno)
+        parts = reader.line(line)
         if parts is None:
             cur = Cursor(line, lineno)
             parts = []
@@ -46,10 +60,10 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
                 cur.skip_ws()
                 parts.append(reader.scan(cur))
             end_of_statement(cur)
-            if not isinstance(parts[3], SidRef):
-                raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
-            parts[3] = parts[3].sid
-        src, label, value, sid = parts
+        src, label, value, ref = parts
+        if not isinstance(ref, SidRef):
+            raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
+        sid = ref.sid
         if sid.int in seen or sid in store:
             raise ParseError(f"duplicate sid {sid}", line=lineno)
         seen.add(sid.int)

@@ -142,8 +142,9 @@ class _Parser:
     :meth:`Store.insert_new` gives it a sid. IRIs and prefixed names are
     read once per distinct text; a prefix declaration forgets the names.
     A statement line :meth:`line` reads as a whole is read through a
-    :class:`TermReader`, each distinct token once. Blank labels are kept as
-    written, to be renamed after the last token.
+    :class:`TermReader`, each distinct token once. Blank nodes, of either
+    path, are kept in its terms as written, to be renamed after the last
+    token.
     """
 
     def __init__(self, text: str, store: Store):
@@ -152,8 +153,7 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.iris: dict[str, Iri] = {}
         self.pnames: dict[str, Iri] = {}
-        self.blanks: set[str] = set()
-        self.reader = TermReader()
+        self.reader = TermReader(_LINE)
         self.new: list[tuple] = []
         self.made: dict[tuple, SidRef | int] = {}
         self.tokens = _tokenize(text, self.line)
@@ -175,17 +175,11 @@ class _Parser:
 
     def line(self, text: str) -> bool:
         """Read a statement line :data:`_LINE` matches, inner triple first,
-        and say whether it did. A line with a token the scanners refuse is
-        left to the token path, which reports it where it always has."""
-        m = _LINE.fullmatch(text)
-        if m is None:
+        and say whether it did; a line the reader refuses is left to the
+        token path, which reports it."""
+        terms = self.reader.line(text)
+        if terms is None:
             return False
-        terms = []
-        for token in m.groups():
-            if token is not None:
-                if (t := self.reader.term(token)) is None:
-                    return False
-                terms.append(t)
         if len(terms) == 5:  # << S P O >> P O
             terms = [self.stmt(*terms[:3]), *terms[3:]]
         self.stmt(*terms)
@@ -298,8 +292,7 @@ class _Parser:
         if kind in ("iri", "pname"):
             return self.term_iri(tok)
         if kind == "blank":
-            self.blanks.add(tok[1].label)
-            return tok[1]
+            return self.reader.terms.setdefault(tok[1], tok[1])
         if kind == "<<":
             return self.quoted()
         if not allow_literal:
@@ -353,7 +346,7 @@ def parse_turtle_star(text: str, store: Store | None = None) -> Store:
     parser = _Parser(text, store)
     parser.parse()
     new = parser.new
-    if rename := blank_renamer(store, parser.blanks | parser.reader.blank_labels()):
+    if rename := blank_renamer(store, parser.reader.blank_labels()):
         new = [(rename(s), p, rename(o)) for s, p, o in new]
     store.insert_new(new)
     return store

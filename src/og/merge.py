@@ -9,7 +9,6 @@ collapse content-identical ground statements.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -178,11 +177,9 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     report.blank_nodes_renamed = len(renamed)
 
     if rules.edge_identity is EdgeIdentity.COLLAPSE_IDENTICAL_CONTENT:
-        result, n = _collapse_identical_content(result)
-        report.edges_collapsed = n
+        report.edges_collapsed = _collapse_identical_content(result)
     elif rules.edge_identity is EdgeIdentity.COLLAPSE_IDENTICAL_CONTENT_AND_PROPERTIES:
-        n = _collapse_with_properties(result)
-        report.edges_collapsed = n
+        report.edges_collapsed = _collapse_with_properties(result)
 
     report.statements_out = len(result)
     return result, report
@@ -200,29 +197,30 @@ def _content_groups(store: Store) -> list[list[Sid]]:
     return sorted(found, key=lambda g: sid_key(g[0]))  # the groups are disjoint
 
 
-def _collapse_identical_content(store: Store) -> tuple[Store, int]:
-    """Unify content-identical ground statements onto the least sid."""
-    sid_map = {loser: group[0] for group in _content_groups(store) for loser in group[1:]}
-    if not sid_map:
-        return store, 0
+def _collapse_identical_content(store: Store) -> int:
+    """Unify content-identical ground statements onto the least sid, in
+    place; returns how many were folded away. The statements that reference
+    a folded sid, directly or through others, go with it (so their sids are
+    reserved, as its is) and come back with its references redirected."""
+    groups = _content_groups(store)
+    if not groups:
+        return 0
+    survivor = {loser.int: SidRef(group[0]) for group in groups for loser in group[1:]}
+    touched = set(survivor)  # the losers and their referrers, by sid integer
+    moved: list[Statement] = []
+    for st in store:  # in reference order: a referrer after what it references
+        if any(type(t) is SidRef and t.sid.int in touched for t in (st.src, st.value)):
+            touched.add(st.sid.int)
+            moved.append(st)
 
     def redirect(t: Term) -> Term:
-        if isinstance(t, SidRef) and t.sid in sid_map:
-            return SidRef(sid_map[t.sid])
-        return t
+        return survivor.get(t.sid.int, t) if type(t) is SidRef else t
 
-    # the rebuilt store goes on issuing sids where this one is, and never
-    # issues the sids of the statements it folds away
-    rebuilt = Store()
-    rebuilt._sids = copy.copy(store._sids)
-    for loser in sid_map:
-        rebuilt._sids.reserve(loser)
-    rebuilt.add_statements(
-        Statement(redirect(st.src), st.label, redirect(st.value), st.sid)
-        for st in store
-        if st.sid not in sid_map
-    )
-    return rebuilt, len(sid_map)
+    for group in groups:
+        for loser in group[1:]:
+            store.delete_statement(loser)
+    store.add_statements(Statement(redirect(st.src), st.label, redirect(st.value), st.sid) for st in moved)
+    return len(survivor)
 
 
 def _filled(memo: dict, st: Statement, needs, make):

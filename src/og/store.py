@@ -425,11 +425,7 @@ class Store:
 
     def list_graphs(self) -> list[GraphId]:
         """Distinct graph names occurring in membership statements, sorted."""
-        graphs = {
-            st.value
-            for st in self
-            if st.label == IN_GRAPH and isinstance(st.value, (Iri, LocalId))
-        }
+        graphs = {st.value for st in self if _is_membership(st.label) and isinstance(st.value, (Iri, LocalId))}
         return sorted(graphs, key=term_key)
 
 

@@ -117,10 +117,6 @@ class SidFactory:
         self._counter = seed
         self._reserved: set[int] = set()
 
-    @property
-    def seeded(self) -> bool:
-        return self._counter is not None
-
     def __copy__(self) -> "SidFactory":
         out = SidFactory(self._counter)
         out._reserved = set(self._reserved)

@@ -26,7 +26,7 @@ from urllib.parse import quote, unquote
 from .datatypes import RDF_LANG_STRING, XSD_STRING, CoercionTally, Literal, coerce_to_lpg
 from .errors import NamespaceError, NestingOverflowError
 from .statements import Statement, Term, is_ground, term_key
-from .store import IN_GRAPH, Store
+from .store import Store, _is_membership
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_iri
 
 #: Namespace under which local identifiers are exposed to the RDF side.
@@ -355,7 +355,7 @@ def _lpg_reading(st: Statement, cfg: LpgViewConfig) -> str | None:
     ``"property"`` or ``"edge"`` for a ground statement, ``"assertion"`` for
     one that references statements, and None for graph membership, which
     it drops."""
-    if st.label == IN_GRAPH:
+    if _is_membership(st.label):
         return None
     if not is_ground(st):
         return "assertion"
@@ -467,14 +467,8 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     """
     memberships: dict[int, set[Term]] = {}  # by sid integer
     for st in store:
-        if st.label != IN_GRAPH or not isinstance(st.src, SidRef):
-            continue
-        if not isinstance(st.value, (Iri, LocalId)):
-            continue
-        target = store.get(st.src.sid)
-        if target is None or target.label == IN_GRAPH:
-            continue
-        memberships.setdefault(st.src.sid.int, set()).add(st.value)
+        if _is_membership(st.label) and isinstance(st.src, SidRef) and isinstance(st.value, (Iri, LocalId)):
+            memberships.setdefault(st.src.sid.int, set()).add(st.value)
 
     default: set[tuple] = set()
     named: dict[Term, set[tuple]] = {}

@@ -186,18 +186,22 @@ def test_parse_ntriples_reads_what_the_cursor_reads(data):
 # --- a bad token, first or after its neighbours are remembered ---------------
 
 #: (format, bad line): lexical errors, and tokens the line regex reads but
-#: the scanner or the position refuses.
+#: the scanner or the position refuses. An OG-NQ line carries its sid token.
+SID = f"<urn:og:sid:{uuid.UUID(int=1)}>"
 BAD = [
-    ("ognq", '<noscheme> <urn:x:a> "v"'),
-    ("ognq", '<urn:x:a> <urn:x:a> "v"@1x'),
-    ("ognq", '<urn:x:a> <urn:x:a> "bad \\q escape"'),
-    ("ognq", "<urn:x:a> <urn:x:a> <urn:og:sid:nope>"),
-    ("ognq", '"n1" <urn:x:a> <urn:x:a>'),
-    ("ognq", '<urn:x:a> _:b0 "n1"'),
-    ("ognq", '<urn:x:a> <urn:x:a> "n1"^^<noscheme>'),
-    ("ognq", '<urn:x:a> <urn:x:a> "n1"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>'),
-    ("ognq", "<urn:x:a> <urn:x:a> <a b>"),
-    ("ognq", 'local:"" <urn:x:a> "n1"'),
+    ("ognq", f'<noscheme> <urn:x:a> "v" {SID}'),
+    ("ognq", f'<urn:x:a> <urn:x:a> "v"@1x {SID}'),
+    ("ognq", f'<urn:x:a> <urn:x:a> "bad \\q escape" {SID}'),
+    ("ognq", f"<urn:x:a> <urn:x:a> <urn:og:sid:nope> {SID}"),
+    ("ognq", f'"n1" <urn:x:a> <urn:x:a> {SID}'),
+    ("ognq", f'<urn:x:a> _:b0 "n1" {SID}'),
+    ("ognq", f'<urn:x:a> <urn:x:a> "n1"^^<noscheme> {SID}'),
+    ("ognq", f'<urn:x:a> <urn:x:a> "n1"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> {SID}'),
+    ("ognq", f"<urn:x:a> <urn:x:a> <a b> {SID}"),
+    ("ognq", f'local:"" <urn:x:a> "n1" {SID}'),
+    ("ognq", '<urn:x:a> <urn:x:a> "n1" <urn:og:sid:nope>'),
+    ("ognq", f'<urn:x:a> <urn:x:a> "n1" <urn:og:sid:{str(uuid.UUID(int=0xABC)).upper()}>'),
+    ("ognq", '<urn:x:a> <urn:x:a> "n1" <urn:x:notasid>'),
     ("ntriples", '"n1" <urn:x:a> <urn:x:a>'),
     ("ntriples", "<urn:x:a> _:b0 <urn:x:a>"),
     ("ntriples", '<urn:x:a> "n1" <urn:x:a>'),
@@ -207,24 +211,21 @@ BAD = [
     ("ntriples", "_:1.  <urn:x:a> <urn:x:a>"),
 ]
 GOOD = {
-    "ognq": ['<urn:x:a> <urn:x:a> "n1"', "<noscheme:x> <urn:x:a> _:b0", 'local:"v1" <urn:x:a> "v"'],
+    "ognq": [f'<urn:x:a> <urn:x:a> "n1" <urn:og:sid:{uuid.UUID(int=500)}>',
+             f"<noscheme:x> <urn:x:a> _:b0 <urn:og:sid:{uuid.UUID(int=501)}>",
+             f'local:"v1" <urn:x:a> "v" <urn:og:sid:{uuid.UUID(int=502)}>'],
     "ntriples": ['<urn:x:a> <urn:x:a> "n1"', "_:b0 <urn:x:a> <urn:x:a>", '<urn:x:a> <urn:x:a> "n1"^^<noscheme:x>'],
 }
 PARSE = {"ognq": (parse_ognq, oracles.ognq_statements), "ntriples": (parse_ntriples, oracles.ntriples_triples)}
 
 
-def _numbered(fmt: str, lines: list[str]) -> str:
-    if fmt == "ntriples":
-        return "".join(f"{line} .\n" for line in lines)
-    return "".join(f"{line} <urn:og:sid:{uuid.UUID(int=500 + i)}> .\n" for i, line in enumerate(lines))
-
-
 @pytest.mark.parametrize("fmt, bad", BAD, ids=str)
 def test_a_bad_token_fails_alike_at_its_first_and_a_later_occurrence(fmt, bad):
+    # a document fails at its first bad line, before any good line repeats
     parse, oracle = PARSE[fmt]
     good = GOOD[fmt]
     for lines in ([bad] + good, good + [bad], good + [bad] + good + [bad]):
-        doc = _numbered(fmt, lines)
+        doc = "".join(f"{line} .\n" for line in lines)
         with pytest.raises(ParseError) as want:
             oracle(doc)
         store = Store(seed=0)
