@@ -1,4 +1,4 @@
-"""Literals, datatype validation, and the flat list literal.
+r"""Literals, datatype validation, and the flat list literal.
 
 The literal space is unified across the RDF and property-graph sides:
 
@@ -7,7 +7,16 @@ The literal space is unified across the RDF and property-graph sides:
   carry ``well_typed = False`` instead of being rejected.
 * A flat list datatype ``urn:og:List`` whose canonical lexical form is
   ``[e1, e2, ...]``. Lists hold scalars only (text, integer, decimal,
-  boolean); nesting is not representable.
+  boolean); nesting is not representable. Its lexical space, read by the one
+  regex ``_LIST``::
+
+      list   ::= ws "[" ws (item ws ("," ws item ws)*)? "]" ws
+      item   ::= string | "true" | "false" | decimal
+      string ::= '"' ([^"\\] | "\\" ["\\nrt])* '"'
+      ws     ::= [ \t\r\n]*
+
+  where ``decimal`` is the ``xsd:decimal`` rule and the five escapes stand
+  for ``"``, ``\``, newline, carriage return and tab.
 
 :func:`coerce_lpg_value` and :func:`coerce_to_lpg` translate between Python
 values as a property graph sees them and literals as RDF sees them.
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 from .errors import ParseError, UnsupportedValueError, WrongDatatypeError
 from .terms import Iri
@@ -43,8 +52,10 @@ BUILT_IN = {dt.text: dt for dt in (XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DOU
 #: A language tag (Turtle's LANGTAG without the ``@``); unanchored.
 LANG_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 _INTEGER = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
-_DOUBLE = re.compile(r"^([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?INF|NaN)$")
+#: The decimal rule, unanchored: ``xsd:decimal`` and a list's number item.
+_DECIMAL_BODY = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_DECIMAL = re.compile(f"^{_DECIMAL_BODY}$")
+_DOUBLE = re.compile(rf"^({_DECIMAL_BODY}([eE][+-]?[0-9]+)?|[+-]?INF|NaN)$")
 _DATE = re.compile(r"^(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(Z|[+-][0-9]{2}:[0-9]{2})?$")
 _DATETIME = re.compile(
     r"^(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})"
@@ -65,7 +76,7 @@ class Literal:
     lexical: str
     datatype: Iri = XSD_STRING
     language: str | None = None
-    well_typed: bool = field(init=False)
+    well_typed: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.language is not None:
@@ -135,11 +146,7 @@ def validate(lexical: str, datatype: Iri) -> bool:
             return mi == 0 and ss == 0 and set(frac[1:]) == {"0"}
         return hh <= 23 and mi <= 59 and ss <= 59
     if datatype == OG_LIST:
-        try:
-            _parse_list(lexical)
-            return True
-        except ParseError:
-            return False
+        return _LIST.fullmatch(lexical) is not None
     return True
 
 
@@ -147,86 +154,33 @@ def validate(lexical: str, datatype: Iri) -> bool:
 
 Scalar = str | int | bool | Decimal
 
-_LIST_WS = " \t\r\n"
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _ESCAPE = {c: "\\" + e for e, c in _ESCAPES.items()}
 _TEXT_UNSAFE = re.compile("[" + re.escape("".join(_ESCAPE)) + "]")
-_NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
+_UNESCAPE = re.compile(r"\\(.)")
+
+# The list grammar of the module docstring. No two whitespace runs meet and
+# the string body is unrolled, so a refused literal backtracks linearly.
+_WS = r"[ \t\r\n]*"
+_ITEM = (r'"[^"\\]*(?:\\[' + re.escape("".join(_ESCAPES)) + r'][^"\\]*)*"'
+         + "|true|false|" + _DECIMAL_BODY)
+_LIST = re.compile(rf"{_WS}\[{_WS}(?:(?:{_ITEM}){_WS}(?:,{_WS}(?:{_ITEM}){_WS})*)?\]{_WS}")
+_LIST_ITEM = re.compile(_ITEM)
+
+
+def _item_value(token: str) -> Scalar:
+    if token[0] == '"':
+        return _UNESCAPE.sub(lambda m: _ESCAPES[m[1]], token[1:-1])
+    if token in ("true", "false"):
+        return token == "true"
+    return Decimal(token) if "." in token else int(token)
 
 
 def _parse_list(text: str) -> list[Scalar]:
-    i, n = 0, len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i] in _LIST_WS:
-            i += 1
-        return i
-
-    def fail(msg: str, at: int):
-        raise ParseError(f"{msg} at offset {at} in list literal {text!r}")
-
-    i = skip_ws(i)
-    if i >= n or text[i] != "[":
-        fail("expected '['", i)
-    i = skip_ws(i + 1)
-    elements: list[Scalar] = []
-    if i < n and text[i] == "]":
-        i += 1
-    else:
-        while True:
-            if i >= n:
-                fail("unterminated list", i)
-            c = text[i]
-            if c == '"':
-                chars = []
-                i += 1
-                while True:
-                    if i >= n:
-                        fail("unterminated string", i)
-                    c = text[i]
-                    if c == '"':
-                        i += 1
-                        break
-                    if c == "\\":
-                        if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                            fail("bad escape", i)
-                        chars.append(_ESCAPES[text[i + 1]])
-                        i += 2
-                    else:
-                        chars.append(c)
-                        i += 1
-                elements.append("".join(chars))
-            elif text.startswith("true", i):
-                elements.append(True)
-                i += 4
-            elif text.startswith("false", i):
-                elements.append(False)
-                i += 5
-            else:
-                m = _NUMBER.match(text, i)
-                if not m:
-                    fail("expected list element", i)
-                token = m.group(0)
-                i = m.end()
-                if "." in token:
-                    try:
-                        elements.append(Decimal(token))
-                    except InvalidOperation:
-                        fail("bad decimal", m.start())
-                else:
-                    elements.append(int(token))
-            i = skip_ws(i)
-            if i < n and text[i] == ",":
-                i = skip_ws(i + 1)
-                continue
-            if i < n and text[i] == "]":
-                i += 1
-                break
-            fail("expected ',' or ']'", i)
-    i = skip_ws(i)
-    if i != n:
-        fail("trailing content after list", i)
-    return elements
+    if not _LIST.fullmatch(text):
+        raise ParseError(f"malformed list literal {text!r}")
+    # a whole-literal match leaves nothing between its items that starts one
+    return [_item_value(m[0]) for m in _LIST_ITEM.finditer(text)]
 
 
 def _canon_decimal(d: Decimal) -> str:

@@ -16,9 +16,9 @@ from enum import Enum
 from typing import Union
 
 from .errors import BadTemplateError, ParseError, SidCollisionError
-from .statements import Statement, Term, blank_labels, is_ground, rename_apart, term_key
+from .statements import Statement, Term, blank_labels, rename_apart, term_key
 from .store import Store
-from .terms import BlankNode, Iri, LocalId, Sid, SidRef, sid_key
+from .terms import BlankNode, Iri, LocalId, Sid, SidRef
 
 
 class BlankNodePolicy(Enum):
@@ -188,13 +188,14 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
 def _content_groups(store: Store) -> list[list[Sid]]:
     """Content-identical ground statements, each group in sid order, the
     groups by their least sid (collapsing one group can change another's
-    annotations, so the order is part of the result)."""
-    groups: dict[tuple, list[Sid]] = {}
-    for st in store:
-        if is_ground(st):
-            groups.setdefault(st.content, []).append(st.sid)
-    found = (sorted(g, key=sid_key) for g in groups.values() if len(g) > 1)
-    return sorted(found, key=lambda g: sid_key(g[0]))  # the groups are disjoint
+    annotations, so the order is part of the result): the content index's
+    groups of two or more whose key has no SidRef in source or value."""
+    groups = [
+        store.sids_by_content(*key)
+        for key, members in store._by_content.items()
+        if type(members) is set and type(key[0]) is not SidRef and type(key[2]) is not SidRef
+    ]
+    return sorted(groups, key=lambda g: g[0].int)  # the groups are disjoint
 
 
 def _collapse_identical_content(store: Store) -> int:

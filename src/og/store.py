@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 from dataclasses import replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Sequence
 
 from .datatypes import Literal
@@ -369,6 +370,7 @@ class Store:
         walk of the store in sid order. Inserts keep each label's statements
         in sid order, except that a sid below its label's last one marks the
         label, and the next match by that label sorts its statements once.
+        A value given with the label is compared through ``_FIELDS``.
         """
         if pattern.sid is not None:
             st = self.get(pattern.sid)  # by the sid's integer: match the rest without UUID.__eq__
@@ -391,7 +393,12 @@ class Store:
                 self._unsorted.remove(label)
                 self._by_label[label] = dict(sorted(self._by_label[label].items()))
             found = self._by_label.get(label, {}).values()
-            return list(found) if pattern.value is None else [st for st in found if pattern.value == st.value]
+            if pattern.value is None:
+                return list(found)
+            kind = type(pattern.value)
+            fields = _FIELDS.get(kind, _itself)
+            want = fields(pattern.value)
+            return [st for st in found if type(st.value) is kind and fields(st.value) == want]
         else:
             return sorted((st for st in self if pattern.matches(st)), key=lambda st: st.sid.int)
         found = (self._by_sid[s] for s in sorted(sids))
@@ -427,6 +434,22 @@ class Store:
         """Distinct graph names occurring in membership statements, sorted."""
         graphs = {st.value for st in self if _is_membership(st.label) and isinstance(st.value, (Iri, LocalId))}
         return sorted(graphs, key=term_key)
+
+
+#: Each term type's defining fields, read by C-level getters: two terms are
+#: equal when their types are the same and these are equal, so a match
+#: compares values without the dataclass ``__eq__``.
+_FIELDS = {
+    Iri: attrgetter("text"),
+    LocalId: attrgetter("text"),
+    BlankNode: attrgetter("label"),
+    SidRef: attrgetter("sid.int"),
+    Literal: attrgetter("lexical", "datatype.text", "language"),
+}
+
+
+def _itself(term):
+    return term
 
 
 def _key(sid) -> int | None:

@@ -492,6 +492,51 @@ class TestErrors:
         assert "usage: og" in capsys.readouterr().out
 
 
+class TestRefusals:
+    """Each refused command exits 1 with an ``error:`` line and writes no output file."""
+
+    @staticmethod
+    def refused(argv, tmp_path, capsys, needle):
+        out_path = tmp_path / "out.ognq"
+        assert main(argv + ["-o", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not out_path.exists()
+
+    def test_one_format_serves_every_input(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("<urn:x:a> <urn:x:p> <urn:x:b> .\n", encoding="utf-8")
+        bad.write_text("garbage\n", encoding="utf-8")
+        self.refused(["load", str(good), str(bad), "--format", "ntriples"], tmp_path, capsys, "bad.txt")
+
+    def test_a_format_it_cannot_infer(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text("<urn:x:a> <urn:x:p> <urn:x:b> .\n", encoding="utf-8")
+        self.refused(["load", str(path)], tmp_path, capsys, "cannot infer")
+
+    def test_input_and_format_counts_differ(self, toy_file, tmp_path, capsys):
+        argv = ["load", toy_file, toy_file, toy_file, "--format", "ognq", "--format", "ognq"]
+        self.refused(argv, tmp_path, capsys, "3 inputs but 2 --format values")
+
+    def test_a_property_without_equals(self, toy_file, tmp_path, capsys):
+        argv = ["mutate", toy_file, "--add-edge", "Alice", "Bob", "likes", "--property", "w"]
+        self.refused(argv, tmp_path, capsys, "key=value")
+
+    def test_a_property_value_that_is_no_literal(self, toy_file, tmp_path, capsys):
+        argv = ["mutate", toy_file, "--add-edge", "Alice", "Bob", "likes", "--property", "w=<urn:x:w>"]
+        self.refused(argv, tmp_path, capsys, "must be literals")
+
+    def test_a_bad_namespace(self, toy_file, tmp_path, capsys):
+        self.refused(["view", toy_file, "--as", "rdf", "--namespace", "no scheme"], tmp_path, capsys, "bad namespace")
+
+    @pytest.mark.parametrize("table", ['{"ex": 1}', '["urn:x:"]'])
+    def test_a_prefix_table_that_is_no_string_map(self, toy_file, tmp_path, capsys, table):
+        pfx = tmp_path / "prefixes.json"
+        pfx.write_text(table, encoding="utf-8")
+        argv = ["view", toy_file, "--as", "lpg", "--prefixes", str(pfx)]
+        self.refused(argv, tmp_path, capsys, "prefix tables map labels to IRI strings")
+
+
 class TestSubprocess:
     def test_console_script_runs(self, toy_file):
         proc = subprocess.run(

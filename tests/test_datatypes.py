@@ -1,10 +1,13 @@
 """Literal construction, validation tables, list folding, LPG coercion."""
 
+import dataclasses
 import math
+import time
 from decimal import Decimal
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from og import (
     CoercionTally,
@@ -54,6 +57,10 @@ class TestLiteralConstruction:
         assert Literal("a", RDF_LANG_STRING, language="en") != Literal(
             "a", RDF_LANG_STRING, language="de"
         )
+
+    def test_well_typed_is_derived_so_equality_and_hash_skip_it(self):
+        compared = [f.name for f in dataclasses.fields(Literal) if f.compare]
+        assert compared == ["lexical", "datatype", "language"]
 
 
 # One row per line: (lexical, datatype, verdict). Covers the accepted grammar
@@ -202,6 +209,101 @@ class TestListFold:
                 assert back == orig
         # refolding is byte-stable
         assert list_fold(out) == folded
+
+
+# The list grammar, drawn: each item's spelling with the value it reads as.
+LIST_ESCAPES = {'\\"': '"', "\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
+list_ws = st.lists(st.sampled_from([" ", "\t", "\n", "\r", "\r\n"]), max_size=3).map("".join)
+digits = st.text("0123456789", min_size=1, max_size=6)
+
+
+@st.composite
+def list_items(draw):
+    kind = draw(st.sampled_from(["text", "bool", "integer", "decimal"]))
+    if kind == "text":
+        plain = st.characters(exclude_categories=("Cs",), exclude_characters='"\\')
+        parts = draw(st.lists(st.one_of(st.sampled_from(sorted(LIST_ESCAPES)), plain), max_size=8))
+        return '"' + "".join(parts) + '"', "".join(LIST_ESCAPES.get(p, p) for p in parts)
+    if kind == "bool":
+        value = draw(st.booleans())
+        return str(value).lower(), value
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if kind == "integer":
+        text = sign + draw(digits)
+        return text, int(text)
+    whole, fraction = draw(st.one_of(
+        st.tuples(digits, st.one_of(st.just(""), digits)),  # 1. and 1.5
+        st.tuples(st.just(""), digits),  # .5
+    ))
+    text = f"{sign}{whole}.{fraction}"
+    return text, Decimal(text)
+
+
+@st.composite
+def list_spellings(draw):
+    items = draw(st.lists(list_items(), max_size=5))
+    body = ",".join(draw(list_ws) + text + draw(list_ws) for text, _ in items) if items else draw(list_ws)
+    return draw(list_ws) + "[" + body + "]" + draw(list_ws), [value for _, value in items]
+
+
+def typed(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestListGrammar:
+    @pytest.mark.parametrize(
+        "text,values",
+        [
+            ("[]", []),
+            (" \r\n[ \t\r\n]\n", []),
+            ("[+1, 1., .5, -0.0, 007]", [1, Decimal("1."), Decimal(".5"), Decimal("-0.0"), 7]),
+            ('["\\"", "\\\\", "\\n", "\\r", "\\t"]', ['"', "\\", "\n", "\r", "\t"]),
+            ('[true,false , "a,b]"]', [True, False, "a,b]"]),
+        ],
+    )
+    def test_spellings(self, text, values):
+        assert typed(list_unfold(Literal(text, OG_LIST))) == typed(values)
+
+    @given(list_spellings())
+    def test_drawn_spellings_read_as_drawn(self, spelled):
+        text, values = spelled
+        literal = Literal(text, OG_LIST)
+        assert validate(text, OG_LIST) and literal.well_typed
+        assert typed(list_unfold(literal)) == typed(values)
+        assert typed(coerce_to_lpg(literal)) == typed(float(v) if isinstance(v, Decimal) else v for v in values)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2", "[1,]", "[,]", '["\\x"]', '["abc]', '["abc', "[1.2.3]", "[truex]", "[1] x", "", "[+]", "[.]"],
+    )
+    def test_corruptions_are_refused(self, text):
+        assert validate(text, OG_LIST) is False
+        with pytest.raises(ParseError) as e:
+            list_unfold(Literal(text, OG_LIST))
+        assert repr(text) in str(e.value)
+
+    # Shapes that make a backtracking reader quadratic, each read well under
+    # the bound in linear time.
+    @pytest.mark.parametrize(
+        "text,accepted",
+        [
+            ("[" + " " * 200_000 + "1" + " " * 200_000 + "x]", False),
+            ("[" + ", ".join(["1"] * 100_000) + "]", True),
+            ("[" + ", ".join(["1"] * 100_000), False),
+            ('["' + "a" * 1_000_000 + '"]', True),
+            ('["' + "a\\n" * 300_000, False),
+            ("[" + "7" * 200_000 + "..]", False),
+        ],
+        ids=["whitespace-bomb", "100k-items", "100k-items-open", "1MB-string", "open-string", "digits-dot-dot"],
+    )
+    def test_reading_stays_linear(self, text, accepted):
+        start = time.perf_counter()
+        assert validate(text, OG_LIST) is accepted
+        try:
+            list_unfold(Literal(text, OG_LIST))
+        except ParseError:
+            assert not accepted
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCoerceLpgValue:

@@ -95,6 +95,13 @@ class TestParse:
                 "nest",
             ),
             ('{"type": "edge", "id": "e", "label": "k", "from": "a", "to": "b"}', UnknownEndpointError, "undeclared"),
+            ('{"type": "vertex", "id": "a", "properties": {"p": {"meta": {}}}}', ParseError, '"value" and optional "meta"'),
+            ('{"type": "vertex", "id": "a", "properties": {"p": {"value": 1, "x": 2}}}', ParseError, '"value" and optional "meta"'),
+            ('{"type": "vertex", "id": "a", "properties": {"p": {"value": 1, "meta": 3}}}', ParseError, '"meta" must be an object'),
+            ('{"type": "vertex", "id": "a", "properties": [1]}', ParseError, '"properties" must be an object'),
+            ('\ufeff{"type": "vertex", "id": "a"}', ParseError, "BOM"),
+            ('{"type": "edge", "id": "e", "label": "k", "from": "a"}', ParseError, 'edges need a "to"'),
+            ('{"type": "edge", "id": 1, "label": "k", "from": "a", "to": "b"}', ParseError, "edge id must be a string"),
         ],
     )
     def test_malformed_lines(self, line, error, needle):
@@ -107,6 +114,10 @@ class TestParse:
         with pytest.raises(ParseError) as e:
             parse_lpg_jsonl('{"type": "vertex", "id": "a"}\n{"type": "vertex", "id": "a"}\n')
         assert "line 2" in str(e.value)
+        edge = '{"type": "edge", "id": "e", "label": "k", "from": "a", "to": "a"}\n'
+        with pytest.raises(ParseError, match="duplicate edge id 'e'") as e:
+            parse_lpg_jsonl('{"type": "vertex", "id": "a"}\n' + edge + edge)
+        assert "line 3" in str(e.value)
 
 
 class TestOneTermPerValue:

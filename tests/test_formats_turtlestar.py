@@ -88,6 +88,10 @@ class TestParse:
             ("<urn:x:s> <urn:x:p> .\n", "term"),
             ("<urn:x:s> <urn:x:p> (1 2) .\n", ""),
             ("<< <urn:x:a> <urn:x:k> >> <urn:x:p> 1 .\n", ""),
+            ("<urn:x:s> <urn:x:p> +.x .\n", "bad number"),
+            ("@prefix ex:a <urn:x:> .\n", "bare 'label:'"),
+            ("@prefix ex: <rel/> .\nex:s <urn:x:p> 1 .\n", "absolute"),
+            ('<urn:x:s> <urn:x:p> "v"^^"t" .\n', "expected a datatype IRI"),
         ],
     )
     def test_rejections_carry_position(self, doc, needle):

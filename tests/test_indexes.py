@@ -9,6 +9,8 @@ same order and with the same chosen term, also when one identifier is
 spelled several ways in one store.
 """
 
+import contextlib
+import copy
 import uuid
 from unittest import mock
 from urllib.parse import unquote
@@ -28,6 +30,9 @@ from strategies import (
 
 from og import (
     IN_GRAPH,
+    RDF_LANG_STRING,
+    XSD_INTEGER,
+    BlankNode,
     DeletePolicy,
     InsertSemantics,
     Iri,
@@ -359,3 +364,31 @@ def test_only_a_match_by_label_builds_the_label_index(multi_edge_store):
     assert all(s._by_label is None for s in built + [store])
     store.match(StatementPattern(label=knows))
     assert store._by_label is not None and store.copy()._by_label is None
+
+
+def test_a_match_by_label_and_value_calls_no_term_eq():
+    """Values under one label are compared by type and defining fields, so
+    terms of another type with the same text never match, and no term's
+    dataclass ``__eq__`` runs."""
+    store = Store(seed=0)
+    p = LocalId("p")
+    values = [
+        Iri("urn:x"), LocalId("urn:x"), BlankNode("x"), Literal("urn:x"), Literal("1"),
+        Literal("1", XSD_INTEGER), Literal("1", RDF_LANG_STRING, "en"), Literal("1", RDF_LANG_STRING, "de"),
+    ]
+    for value in values + values[:3]:
+        store.insert_ground(LocalId("s"), p, value)
+    edge = store.statements()[0].sid
+    store.insert_assertion(SidRef(edge), p, SidRef(edge))
+    statements = store.statements()
+    store.match(StatementPattern(label=p))  # builds the label index, keyed by p itself
+    # equal but distinct objects, and terms the store does not hold
+    wanted = [copy.deepcopy(v) for v in values] + [SidRef(edge), SidRef(uuid.UUID(int=10**6)), Literal("2")]
+    expected = [oracles.pattern_matches(statements, StatementPattern(label=p, value=v)) for v in wanted]
+    refuse = mock.Mock(side_effect=AssertionError("a term __eq__ ran"))
+    with contextlib.ExitStack() as patches:
+        for kind in (Iri, LocalId, BlankNode, Literal, SidRef, uuid.UUID):
+            patches.enter_context(mock.patch.object(kind, "__eq__", refuse))
+        found = [store.match(StatementPattern(label=p, value=v)) for v in wanted]
+    assert found == expected
+    assert [len(f) for f in found] == [2, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0]

@@ -86,6 +86,17 @@ class TestAlignment:
         assert Iri("urn:who:Bob") in srcs
         assert rep.identifiers_aligned == 1
 
+    def test_a_sid_whose_content_agrees_once_aligned_is_no_collision(self):
+        a, b = Store(seed=0), Store(seed=0)
+        a.insert_ground(LocalId("bob"), LocalId("p"), Literal("x"))
+        b.insert_ground(LocalId("robert"), LocalId("p"), Literal("x"))  # same seeded sid
+        rules = MergeRules(id_mappings=[ExplicitPair(LocalId("robert"), LocalId("bob"))])
+        out, rep = merge(a, b, rules)
+        assert out.statements() == a.statements()
+        assert (rep.statements_out, rep.identifiers_aligned) == (1, 1)
+        with pytest.raises(SidCollisionError):
+            merge(a, b)
+
     def test_template_rewrites_local_ids(self):
         a = Store(seed=0)
         b = Store(seed=9)
@@ -253,6 +264,10 @@ class TestRulesFiles:
             '{"edge_identity": "nope"}',
             '{"id_mappings": [{"pair": ["only-one"]}]}',
             '{"id_mappings": [{"both": 1, "keys": 2}]}',
+            '{"id_mappings": [{"pair": ["<urn:og:sid:00000000-0000-0000-0000-000000000001>", "local:\\"x\\""]}]}',
+            '{"id_mappings": [{"template": {"match": "x-{a}"}}]}',
+            '{"id_mappings": [{"template": "x-{a}"}]}',
+            '{"id_mappings": [{"other": 1}]}',
         ],
     )
     def test_malformed_documents(self, doc):

@@ -1,6 +1,8 @@
 """Cross-model update operations: triple-level delete/insert, RDF-star
 annotation, and direct LPG mutation."""
 
+import uuid
+
 import pytest
 
 from og import (
@@ -288,6 +290,15 @@ class TestLpgSetProperty:
         store.insert_ground(LocalId("A"), LocalId("name"), Literal("a"))
         with pytest.raises(NotFoundError):
             lpg_set_property(store, "missing", "k", 1)
+
+    def test_a_sid_that_names_no_edge_raises(self):
+        store = Store(seed=0)
+        prop = store.insert_ground(LocalId("A"), LocalId("name"), Literal("a"))
+        before = store.statements()
+        for element in (prop, str(prop), uuid.UUID(int=10**6)):
+            with pytest.raises(NotFoundError, match="no edge with sid"):
+                lpg_set_property(store, element, "k", 1)
+        assert store.statements() == before
 
     def test_unrepresentable_value_rejected(self):
         store = Store(seed=0)
