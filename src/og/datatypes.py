@@ -51,16 +51,16 @@ BUILT_IN = {dt.text: dt for dt in (XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_DOU
 
 #: A language tag (Turtle's LANGTAG without the ``@``); unanchored.
 LANG_TAG = re.compile(r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
-_INTEGER = re.compile(r"^[+-]?[0-9]+$")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 #: The decimal rule, unanchored: ``xsd:decimal`` and a list's number item.
 _DECIMAL_BODY = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_DECIMAL = re.compile(f"^{_DECIMAL_BODY}$")
-_DOUBLE = re.compile(rf"^({_DECIMAL_BODY}([eE][+-]?[0-9]+)?|[+-]?INF|NaN)$")
-_DATE = re.compile(r"^(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(Z|[+-][0-9]{2}:[0-9]{2})?$")
+_DECIMAL = re.compile(_DECIMAL_BODY)
+_DOUBLE = re.compile(rf"{_DECIMAL_BODY}([eE][+-]?[0-9]+)?|[+-]?INF|NaN")
+_DATE = re.compile(r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})(Z|[+-][0-9]{2}:[0-9]{2})?")
 _DATETIME = re.compile(
-    r"^(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})"
+    r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})"
     r"T([0-9]{2}):([0-9]{2}):([0-9]{2})(\.[0-9]+)?"
-    r"(Z|[+-][0-9]{2}:[0-9]{2})?$"
+    r"(Z|[+-][0-9]{2}:[0-9]{2})?"
 )
 
 
@@ -125,18 +125,18 @@ def validate(lexical: str, datatype: Iri) -> bool:
     if datatype in (XSD_STRING, RDF_LANG_STRING):
         return True
     if datatype == XSD_INTEGER:
-        return bool(_INTEGER.match(lexical))
+        return bool(_INTEGER.fullmatch(lexical))
     if datatype == XSD_DECIMAL:
-        return bool(_DECIMAL.match(lexical))
+        return bool(_DECIMAL.fullmatch(lexical))
     if datatype == XSD_DOUBLE:
-        return bool(_DOUBLE.match(lexical))
+        return bool(_DOUBLE.fullmatch(lexical))
     if datatype == XSD_BOOLEAN:
         return lexical in ("true", "false", "1", "0")
     if datatype == XSD_DATE:
-        m = _DATE.match(lexical)
+        m = _DATE.fullmatch(lexical)
         return bool(m) and _valid_date_parts(m[1], m[2], m[3]) and _valid_zone(m[4])
     if datatype == XSD_DATETIME:
-        m = _DATETIME.match(lexical)
+        m = _DATETIME.fullmatch(lexical)
         if not m or not _valid_date_parts(m[1], m[2], m[3]) or not _valid_zone(m[8]):
             return False
         hh, mi, ss = int(m[4]), int(m[5]), int(m[6])

@@ -17,7 +17,6 @@ statement behind, so it gets the default label statement instead.
 from __future__ import annotations
 
 import json
-import math
 
 from ..datatypes import Literal, coerce_lpg_value
 from ..errors import ParseError, UnknownEndpointError, UnsupportedValueError
@@ -198,15 +197,6 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
 # --- serialization --------------------------------------------------------
 
 
-def _check_finite(value):
-    bad = isinstance(value, float) and not math.isfinite(value)
-    if isinstance(value, list):
-        bad = any(isinstance(e, float) and not math.isfinite(e) for e in value)
-    if bad:
-        raise UnsupportedValueError("non-finite numbers have no JSON form")
-    return value
-
-
 def _wrap_values(values: list) -> object:
     """Bare scalar when single-valued; otherwise an array (lists always nest)."""
     if len(values) == 1 and not isinstance(values[0], list):
@@ -217,15 +207,22 @@ def _wrap_values(values: list) -> object:
 def _one_site(site: VertexProperty):
     if site.meta:
         return {
-            "value": _check_finite(site.value),
-            "meta": {k: _wrap_values([_check_finite(v) for v in vs]) for k, vs in site.meta.items()},
+            "value": site.value,
+            "meta": {k: _wrap_values(vs) for k, vs in site.meta.items()},
         }
-    return _check_finite(site.value)
+    return site.value
 
 
 def serialize_lpg_jsonl(graph: LpgGraph) -> str:
     """One JSON line per vertex, then per edge, in view order."""
-    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    dumps = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+
+    def encode(obj: dict) -> str:
+        try:
+            return dumps(obj)
+        except ValueError:  # the encoder refuses NaN and ±inf, in lists too
+            raise UnsupportedValueError("non-finite numbers have no JSON form") from None
+
     lines = []
     for vid, v in graph.vertices.items():
         obj: dict = {"type": "vertex", "id": vid, "labels": list(v.labels)}
@@ -237,8 +234,6 @@ def serialize_lpg_jsonl(graph: LpgGraph) -> str:
     for sid, e in graph.edges.items():
         obj = {"type": "edge", "id": sid_text(sid), "label": e.label, "from": e.source, "to": e.target}
         if e.properties:
-            obj["properties"] = {
-                k: _wrap_values([_check_finite(v) for v in vs]) for k, vs in e.properties.items()
-            }
+            obj["properties"] = {k: _wrap_values(vs) for k, vs in e.properties.items()}
         lines.append(encode(obj))
     return "".join(line + "\n" for line in lines)

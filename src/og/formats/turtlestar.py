@@ -21,7 +21,7 @@ from ..datatypes import BUILT_IN, LANG_TAG, RDF_LANG_STRING, XSD_STRING, Literal
 from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
-from ..terms import NAME, SID_IRI_PREFIX, SID_RESERVED, BlankNode, Iri, LocalId, SidRef
+from ..terms import NAME, SID_IRI_PREFIX, SID_RESERVED, BlankNode, Iri, SidRef
 from ..views import RDF_TYPE, QuotedTriple, RdfStarGraph, shorten_iri
 from .common import (
     _ANY_TOKEN,
@@ -379,7 +379,8 @@ def _is_rdf_type(p) -> bool:
 def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
     """Text of one node, rendered once per distinct object and ``memo``,
     which is keyed by ``id`` and so holds only while the graph lives; a
-    quoted triple's from its parts' text."""
+    quoted triple's from its parts' text, any node but an IRI or a literal
+    by :func:`render_term`, which raises ValueError for what has no token."""
     text = memo.get(id(t))
     if text is not None:
         return text
@@ -390,14 +391,10 @@ def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
         text = f"<< {s} {p} {o} >>"
     elif isinstance(t, Iri):
         text = _render_iri(t, prefixes)
-    elif isinstance(t, BlankNode):
-        text = f"_:{t.label}"
     elif isinstance(t, Literal):
         text = _render_literal(t, prefixes)
-    elif isinstance(t, LocalId):
-        raise ValueError("local identifiers must be exposed before serialization")
     else:
-        raise ValueError(f"not serializable here: {t!r}")
+        text = render_term(t)
     memo[id(t)] = text
     return text
 

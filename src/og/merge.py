@@ -44,16 +44,14 @@ class ExplicitPair:
             raise ValueError("sid references cannot be aligned")
 
 
-_SLOT = re.compile(r"\{([^{}]*)\}")
+_ONE_SLOT = re.compile(r"([^{}]*)\{([^{}]*)\}([^{}]*)")
 
 
 def _single_slot(pattern: str, role: str) -> tuple[str, str, str]:
-    slots = _SLOT.findall(pattern)
-    if len(slots) != 1 or pattern.count("{") != 1 or pattern.count("}") != 1:
+    m = _ONE_SLOT.fullmatch(pattern)
+    if m is None:
         raise BadTemplateError(f"{role} pattern must contain exactly one {{slot}}: {pattern!r}")
-    prefix, rest = pattern.split("{", 1)
-    _, suffix = rest.split("}", 1)
-    return prefix, slots[0], suffix
+    return m.groups()
 
 
 @dataclass(frozen=True)
@@ -67,24 +65,22 @@ class Template:
 
     match: str
     produce: str
-    # ``match`` parsed once: (prefix, slot name, suffix)
-    _parts: tuple[str, str, str] = field(init=False, compare=False, repr=False)
+    # ``match`` compiled once, capturing the slot, with the slot's name
+    _parts: tuple[re.Pattern, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = _single_slot(self.match, "match")
-        p = _single_slot(self.produce, "produce")
-        if m[1] != p[1]:
+        prefix, slot, suffix = _single_slot(self.match, "match")
+        if slot != _single_slot(self.produce, "produce")[1]:
             raise BadTemplateError(f"match and produce must share the slot name: {self.match!r} vs {self.produce!r}")
-        object.__setattr__(self, "_parts", m)
+        regex = re.compile(re.escape(prefix) + "(.*)" + re.escape(suffix), re.DOTALL)
+        object.__setattr__(self, "_parts", (regex, slot))
 
     def apply(self, local: LocalId) -> Iri | None:
-        prefix, slot, suffix = self._parts
-        text = local.text
-        if not (text.startswith(prefix) and text.endswith(suffix)
-                and len(text) >= len(prefix) + len(suffix)):
+        regex, slot = self._parts
+        m = regex.fullmatch(local.text)
+        if m is None:
             return None
-        captured = text[len(prefix):len(text) - len(suffix)]
-        produced = self.produce.replace("{" + slot + "}", captured)
+        produced = self.produce.replace("{" + slot + "}", m[1])
         try:
             return Iri(produced)
         except ValueError as e:
@@ -145,7 +141,7 @@ def merge(a: Store, b: Store, rules: MergeRules | None = None) -> tuple[Store, M
     renamed: dict[str, BlankNode] = {}  # each renamed node built once
     if rules.blank_node_policy is BlankNodePolicy.RENAME_APART:
         preserved = blank_labels(st for st in b_statements if st.sid.int in copies)
-        b_labels = blank_labels(b_statements)
+        b_labels = b.blank_labels()
         renames = rename_apart(b_labels - preserved, a.blank_labels(), b_labels)
         renamed = {label: BlankNode(new) for label, new in renames.items()}
 

@@ -29,7 +29,7 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 #: BLANK_NODE_LABEL and PN_LOCAL, cut down to ASCII). Unanchored, for scanners.
 NAME = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_])?")
 _LOCAL_UNSAFE = re.compile(r"[<>\s]")
-_SID_TEXT = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$")
+_SID_TEXT = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +85,7 @@ def sid_text(sid: Sid) -> str:
 
 def parse_sid_text(text: str) -> Sid:
     """Strict inverse of :func:`sid_text` (rejects uppercase and variants)."""
-    if not _SID_TEXT.match(text):
+    if not _SID_TEXT.fullmatch(text):
         raise ValueError(f"not a canonical sid: {text!r}")
     return uuid.UUID(text)
 

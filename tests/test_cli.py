@@ -301,6 +301,15 @@ class TestMutate:
         assert 'local:"Alice" local:"likes" local:"Bob"' in text
         assert 'local:"note" "hello"' in text
 
+    def test_colon_terms_insert_local_identifiers(self, tmp_path, capsys):
+        path = tmp_path / "d.ognq"
+        path.write_text("", encoding="utf-8")
+        assert main(["mutate", str(path), "--seed", "0", "--insert-triple", ":a", ":p", ":b"]) == 0
+        assert capsys.readouterr().out == (
+            'local:"a" local:"p" local:"b" <urn:og:sid:00000000-0000-0000-0000-000000000001> .\n'
+            "affected=1\n"
+        )
+
     def test_add_edge_unknown_endpoint(self, toy_file, capsys):
         rc = main(["mutate", toy_file, "--add-edge", "Alice", "Nobody", "likes"])
         assert rc == 1

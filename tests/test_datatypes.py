@@ -149,6 +149,14 @@ VALIDATE_TABLE = [
     ("anything\n at all", XSD_STRING, True),
     # unknown datatypes are trusted
     ("??", Iri("urn:x:custom"), True),
+    # a year of five digits or more has no leading zero
+    ("01999-01-01", XSD_DATE, False),
+    # the whole form, not the form up to a final newline
+    ("1\n", XSD_INTEGER, False),
+    ("1\n", XSD_DECIMAL, False),
+    ("1\n", XSD_DOUBLE, False),
+    ("2020-01-01\n", XSD_DATE, False),
+    ("2020-01-01T00:00:00\n", XSD_DATETIME, False),
 ]
 
 
@@ -187,6 +195,10 @@ class TestListFold:
     def test_nested_lists_are_rejected(self):
         with pytest.raises(UnsupportedValueError):
             list_fold([[1], 2])
+
+    def test_non_finite_decimals_are_rejected(self):
+        with pytest.raises(UnsupportedValueError, match="finite"):
+            list_fold([Decimal("NaN")])
 
     def test_unfold_requires_the_list_datatype(self):
         with pytest.raises(WrongDatatypeError):
@@ -356,6 +368,8 @@ class TestCoerceToLpg:
         t = CoercionTally()
         assert coerce_to_lpg(Literal("zz", XSD_INTEGER), t) == "zz"
         assert t.ill_typed_as_text == 1
+        assert coerce_to_lpg(Literal("1\n", XSD_INTEGER), t) == "1\n"
+        assert t.ill_typed_as_text == 2
 
     def test_unknown_datatype_drops_to_text(self):
         t = CoercionTally()

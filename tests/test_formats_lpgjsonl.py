@@ -1,6 +1,7 @@
 """LPG exchange format: one JSON object per line, vertices before edges."""
 
 import json
+import uuid
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from og import (
     XSD_INTEGER,
     XSD_STRING,
     CoercionTally,
+    Edge,
     Literal,
     LpgGraph,
     ParseError,
@@ -187,14 +189,20 @@ class TestSerialize:
         assert obj["properties"]["list"] == [[1, 2]]
 
     def test_non_finite_values_are_refused(self):
-        g = LpgGraph(
-            vertices={"v": Vertex(labels=["Vertex"], properties={"p": [VertexProperty(float("inf"), {})]})},
-            edges={},
-            dropped=0,
-            coercion=CoercionTally(),
-        )
-        with pytest.raises(UnsupportedValueError):
-            serialize_lpg_jsonl(g)
+        edge = Edge("v", "v", "E", {"w": [[1.0, float("nan")]]})
+        for site, edges in [
+            (VertexProperty(float("inf"), {}), {}),
+            (VertexProperty(1, {"m": [float("-inf")]}), {}),
+            (VertexProperty(1, {}), {uuid.UUID(int=1): edge}),
+        ]:
+            g = LpgGraph(
+                vertices={"v": Vertex(labels=["Vertex"], properties={"p": [site]})},
+                edges=edges,
+                dropped=0,
+                coercion=CoercionTally(),
+            )
+            with pytest.raises(UnsupportedValueError, match="non-finite numbers have no JSON form"):
+                serialize_lpg_jsonl(g)
 
 
 class TestRoundTrip:

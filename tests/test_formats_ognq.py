@@ -1,5 +1,7 @@
 """The sid-carrying wire format: lossless, order-insensitive, line-based."""
 
+import uuid
+
 import pytest
 from hypothesis import given, settings
 
@@ -44,6 +46,18 @@ class TestSerialize:
         # so the renderer's own refusal is checked on the term
         with pytest.raises(ValueError):
             render_term(Iri("urn:og:sid:00000000-0000-0000-0000-00000000beef"), ognq=True)
+
+    @pytest.mark.parametrize(
+        "term,message",
+        [
+            (SidRef(uuid.UUID(int=1)), "sid references are not representable"),
+            (LocalId("a"), "local identifiers are not representable"),
+            (5, "not a term"),
+        ],
+    )
+    def test_other_formats_have_no_token_for_some_terms(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            render_term(term)
 
 
 class TestParse:

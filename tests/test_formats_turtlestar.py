@@ -1,5 +1,7 @@
 """Turtle subset with quoted triples; content-keyed against the store."""
 
+import uuid
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,6 +10,7 @@ from og import (
     Literal,
     LocalId,
     ParseError,
+    QuotedTriple,
     RdfStarGraph,
     SidRef,
     Store,
@@ -208,6 +211,16 @@ class TestSerialize:
         g = RdfStarGraph(triples=frozenset({(LocalId("a"), Iri("urn:x:p"), Literal("v"))}))
         with pytest.raises(ValueError):
             serialize_turtle_star(g)
+
+    def test_sid_references_and_quoted_local_ids_are_refused(self):
+        ref = SidRef(uuid.UUID(int=1))
+        for triple in [
+            (ref, Iri("urn:x:p"), Literal("v")),
+            (QuotedTriple(Iri("urn:x:a"), Iri("urn:x:p"), ref), Iri("urn:x:q"), Literal("v")),
+            (QuotedTriple(LocalId("a"), Iri("urn:x:p"), Literal("v")), Iri("urn:x:q"), Literal("v")),
+        ]:
+            with pytest.raises(ValueError):
+                serialize_turtle_star(RdfStarGraph(triples=frozenset({triple})))
 
 
 class TestRoundTrip:

@@ -145,6 +145,14 @@ def test_cli_prefixed_names_refused(token):
         parse_cli_term(token, {"ex": EX, "e x": EX, ".ex": EX, "-ex": EX})
 
 
+def test_cli_colon_names_a_local_identifier():
+    assert parse_cli_term(":name", {}) == LocalId("name")
+    with pytest.raises(ParseError, match="non-empty"):
+        parse_cli_term(":", {})
+    with pytest.raises(ParseError, match="empty term"):
+        parse_cli_term("  ", {})
+
+
 
 @pytest.mark.parametrize("local", ["a", "", "a.b"])
 def test_cli_prefix_labels_may_start_with_underscore(local):

@@ -78,6 +78,10 @@ class TestSidText:
         with pytest.raises(ValueError):
             parse_sid_text("garbage")
 
+    def test_the_whole_text_is_the_sid(self):
+        with pytest.raises(ValueError, match="not a canonical sid"):
+            parse_sid_text(sid_text(FIRST_SEEDED) + "\n")
+
 
 class TestSidFactory:
     def test_seeded_sequence_is_the_counter(self):

@@ -203,6 +203,11 @@ class TestStarAnnotate:
         with pytest.raises(PositionError):
             star_annotate(toy_store, ALICE, KNOWS, BOB, Literal("k"), Literal("v"))
 
+    def test_value_must_not_reference_a_statement(self, toy_store):
+        edge = toy_store.statements()[0].sid
+        with pytest.raises(PositionError, match="sid references"):
+            star_annotate(toy_store, ALICE, KNOWS, BOB, LocalId("k"), SidRef(edge))
+
 
 class TestLpgAddEdge:
     @pytest.fixture

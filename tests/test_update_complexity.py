@@ -1,12 +1,14 @@
 """One update touches only the statements it names.
 
-On a store of 200 statements, every update entry point and ``match`` by
-source run with ``Store.statements`` made to raise and the sid index made to
-refuse a walk, so an operation that falls back to a full scan fails here
-instead of only getting slower as the store grows. Once one match by label
-has built the label index, ``match`` by label, with or without a value, and
-every update entry point after it run under the same guard, and a match by
-label sorts nothing but a label that an install put out of sid order, once.
+On a store of 200 statements, every update entry point, the store's own
+inserts, deletes, graph membership and fresh sids, ``match`` by sid and by
+source, and a one-line parse of each format into the store run with
+``Store.statements`` made to raise and the sid index made to refuse a walk,
+so an operation that falls back to a full scan fails here instead of only
+getting slower as the store grows. Once one match by label has built the
+label index, ``match`` by label, with or without a value, and every update
+entry point after it run under the same guard, and a match by label sorts
+nothing but a label that an install put out of sid order, once.
 """
 
 import uuid
@@ -22,6 +24,7 @@ from og import (
     Iri,
     Literal,
     LocalId,
+    ReferencedSidError,
     SidRef,
     Statement,
     StatementPattern,
@@ -29,6 +32,10 @@ from og import (
     XSD_INTEGER,
     lpg_add_edge,
     lpg_set_property,
+    parse_lpg_jsonl,
+    parse_ntriples,
+    parse_ognq,
+    parse_turtle_star,
     rdf_delete_triple,
     rdf_insert_triple,
     star_annotate,
@@ -111,6 +118,39 @@ def test_set_property(store):
     for element in (edge, str(edge)):
         sid = lpg_set_property(store, element, "since", 1999)
         assert store.get(sid).content == (SidRef(edge), LocalId("since"), Literal("1999", XSD_INTEGER))
+
+
+def test_store_inserts_and_lookups(store):
+    sid = store.insert_ground(LocalId("v1"), NAME, Literal("again"))
+    note = store.insert_assertion(SidRef(sid), LocalId("since"), Literal("2024"))
+    edge, since = store.insert_new([(LocalId("v2"), KNOWS, LocalId("v9")), (0, LocalId("since"), Literal("y"))])
+    assert store.get(since).src == SidRef(edge)
+    assert store.match(StatementPattern(sid=note)) == [store.get(note)]
+    assert store.match(StatementPattern(sid=note, label=NAME)) == []
+    graph = Iri("urn:x:g")
+    assert store.set_graph_membership(sid, graph) == store.set_graph_membership(sid, graph)
+    assert store.fresh_sid() not in store
+
+
+@pytest.mark.parametrize("policy", list(DeletePolicy))
+def test_delete_statement(store, policy):
+    name = store.match(StatementPattern(src=LocalId("v4"), label=NAME))[0].sid
+    assert store.delete_statement(name, policy) == 1
+    edge = store.match(StatementPattern(src=LocalId("v4"), label=KNOWS))[0].sid
+    if policy is DeletePolicy.RESTRICT:
+        with pytest.raises(ReferencedSidError):
+            store.delete_statement(edge, policy)
+    else:
+        assert store.delete_statement(edge, policy) == 2
+
+
+def test_parse_one_line_of_each_format(store):
+    parse_ognq('local:"v1" local:"p" "x" <urn:og:sid:00000000-0000-0000-0000-0000000f0000> .\n', store)
+    parse_ntriples('<urn:og:local:v1> <urn:x:p> _:b .\n', store)
+    parse_turtle_star('<< <urn:og:local:v1> <urn:og:local:knows> <urn:og:local:v2> >> <urn:x:p> 1 .\n', store)
+    parse_lpg_jsonl('{"type": "vertex", "id": "w", "labels": ["T"]}\n', store)
+    # the quoted triple's IRIs match no stored content, so it is installed too
+    assert len(store) == 5 * VERTICES + 5
 
 
 def test_match_by_source(store):

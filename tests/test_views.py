@@ -189,6 +189,10 @@ class TestLpg:
         assert site.meta == {"source": ["census"]}
         assert g.dropped == 0
 
+    def test_label_predicates_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="label_predicates"):
+            LpgViewConfig(label_predicates=())
+
     def test_meta_can_be_switched_off(self):
         st = Store(seed=0)
         p = st.insert_ground(LocalId("v"), LocalId("name"), Literal("x"))
