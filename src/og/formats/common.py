@@ -249,7 +249,7 @@ class TermReader:
     term token. :meth:`line` reads each group that matched with :meth:`term`
     and reports nothing: it returns None for a line the pattern does not
     match or with a token the scanners refuse, and the caller reads that
-    line term by term with :meth:`scan`, which fails where the token does.
+    line with :meth:`scan_line`, which fails where the token does.
     Equal terms spelled apart (escaped and not) are kept as one object.
     """
 
@@ -294,6 +294,24 @@ class TermReader:
                 if (t := self.term(token)) is None:
                     return None
                 terms.append(t)
+        return terms
+
+    def scan_line(self, text: str, lineno: int, kinds: tuple) -> list:
+        """The terms of a statement line :meth:`line` refused, one per entry
+        of ``kinds``, each read with :meth:`scan` after the spaces before it,
+        then the statement's end. An entry ``(types, message)`` raises
+        ParseError with the message, at the term's column, for a term of
+        another type; an entry None takes any term."""
+        cur = Cursor(text, lineno)
+        terms = []
+        for kind in kinds:
+            cur.skip_ws()
+            col = cur.pos + 1
+            t = self.scan(cur)
+            if kind is not None and not isinstance(t, kind[0]):
+                raise ParseError(kind[1], line=lineno, column=col)
+            terms.append(t)
+        end_of_statement(cur)
         return terms
 
     def blank_labels(self) -> set[str]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 
-from ..errors import ParseError
 from ..statements import Term
 from ..store import Store
 from ..terms import BlankNode, Iri
@@ -19,10 +18,8 @@ from .common import (
     _END,
     _IRI_TOKEN,
     _NODE_TOKEN,
-    Cursor,
     TermReader,
     blank_renamer,
-    end_of_statement,
     split_lines,
     term_renderer,
 )
@@ -38,23 +35,8 @@ def parse_ntriples(text: str, store: Store | None = None) -> Store:
     triples: list[list[Term]] = []
     reader = TermReader(_LINE)
     for lineno, line in split_lines(text):
-        triple = reader.line(line)
-        if triple is None:
-            cur = Cursor(line, lineno)
-            cur.skip_ws()
-            col = cur.pos + 1
-            s = reader.scan(cur)
-            if not isinstance(s, (Iri, BlankNode)):
-                raise ParseError("subject must be an IRI or blank node", line=lineno, column=col)
-            cur.skip_ws()
-            col = cur.pos + 1
-            p = reader.scan(cur)
-            if not isinstance(p, Iri):
-                raise ParseError("predicate must be an IRI", line=lineno, column=col)
-            cur.skip_ws()
-            triple = [s, p, reader.scan(cur)]
-            end_of_statement(cur)
-        triples.append(triple)
+        triples.append(reader.line(line) or reader.scan_line(line, lineno, (
+            ((Iri, BlankNode), "subject must be an IRI or blank node"), (Iri, "predicate must be an IRI"), None)))
 
     if rename := blank_renamer(store, reader.blank_labels()):
         triples = [[rename(s), p, rename(o)] for s, p, o in triples]

@@ -27,7 +27,6 @@ from .common import (
     Cursor,
     TermReader,
     blank_renamer,
-    end_of_statement,
     scan_term,
     split_lines,
     term_renderer,
@@ -52,15 +51,7 @@ def parse_ognq(text: str, store: Store | None = None) -> Store:
     seen: set[int] = set()  # the sids' integers
     reader = TermReader(_LINE, ognq=True)
     for lineno, line in split_lines(text):
-        parts = reader.line(line)
-        if parts is None:
-            cur = Cursor(line, lineno)
-            parts = []
-            for _ in range(4):
-                cur.skip_ws()
-                parts.append(reader.scan(cur))
-            end_of_statement(cur)
-        src, label, value, ref = parts
+        src, label, value, ref = reader.line(line) or reader.scan_line(line, lineno, (None,) * 4)
         if not isinstance(ref, SidRef):
             raise ParseError("the fourth position must be the statement's sid IRI", line=lineno)
         sid = ref.sid

@@ -54,7 +54,9 @@ _LINE = re.compile(rf"[ \t]*(?:<<[ \t]+({_NODE_TOKEN})[ \t]+({_IRI_TOKEN})[ \t]+
 
 def _tokenize(text: str, whole_line: Callable[[str], bool]) -> Iterator[tuple]:
     """The document's tokens, ``(kind, value, line, column)``, one at a
-    time; no token spans a line. After the last one, ``eof`` repeats.
+    time; no token spans a line. After the last one, ``eof`` repeats. A
+    ``prefix`` token's value is the ``.`` that must end its declaration
+    (``@prefix``), or None (``PREFIX``).
 
     A line at a statement start (the document's first token, or the one
     after a ``.``) goes to ``whole_line`` first, and yields no token when
@@ -89,7 +91,7 @@ def _tokenize(text: str, whole_line: Callable[[str], bool]) -> Iterator[tuple]:
                 if m and (not directive or kind == "string"):
                     kind, value, end = "lang", m.group(0), m.end()
                 elif line.startswith("@prefix", pos):
-                    kind, end = "@prefix", pos + len("@prefix")
+                    kind, value, end = "prefix", ".", pos + len("@prefix")
                 elif directive:
                     cur.fail("base declarations are not supported; use absolute IRIs")
                 else:
@@ -114,7 +116,7 @@ def _tokenize(text: str, whole_line: Callable[[str], bool]) -> Iterator[tuple]:
                 elif word in ("true", "false"):
                     kind, value = "boolean", word
                 elif word.upper() == "PREFIX":
-                    kind = "PREFIX"
+                    kind = "prefix"
                 elif word.upper() == "BASE":
                     cur.fail("BASE is not supported")
                 else:
@@ -140,7 +142,7 @@ class _Parser:
     A triple already in the store stands for its least sid. A new one is
     recorded once, in ``new``, and stands for its index there until
     :meth:`Store.insert_new` gives it a sid. IRIs and prefixed names are
-    read once per distinct text; a prefix declaration forgets the names.
+    read once per distinct token; a prefix declaration forgets them.
     A statement line :meth:`line` reads as a whole is read through a
     :class:`TermReader`, each distinct token once. Blank nodes, of either
     path, are kept in its terms as written, to be renamed after the last
@@ -151,8 +153,7 @@ class _Parser:
         self.store = store
         self.stored = len(store) > 0  # an empty store matches nothing
         self.prefixes: dict[str, str] = {}
-        self.iris: dict[str, Iri] = {}
-        self.pnames: dict[str, Iri] = {}
+        self.iris: dict[tuple, Iri] = {}  # (kind, text) of a token
         self.reader = TermReader(_LINE)
         self.new: list[tuple] = []
         self.made: dict[tuple, SidRef | int] = {}
@@ -188,28 +189,22 @@ class _Parser:
     # --- grammar ---------------------------------------------------------
 
     def parse(self) -> None:
-        while True:
-            kind = self.tok[0]
-            if kind == "eof":
-                return
-            if kind == "@prefix":
-                self.next()
-                self.prefix_declaration(terminated=True)
-            elif kind == "PREFIX":
-                self.next()
-                self.prefix_declaration(terminated=False)
+        while (kind := self.tok[0]) != "eof":
+            if kind == "prefix":
+                self.prefix_declaration()
             else:
                 self.triples()
 
-    def prefix_declaration(self, terminated: bool) -> None:
+    def prefix_declaration(self) -> None:
+        end = self.next()[1]
         name = self.expect("pname")
         if not name[1].endswith(":"):
             self.fail(name, "prefix declarations take a bare 'label:'")
         iri = self.expect("iri")
         self.prefixes[name[1][:-1]] = iri[1]
-        self.pnames.clear()
-        if terminated:
-            self.expect(".")
+        self.iris.clear()
+        if end:
+            self.expect(end)
 
     def triples(self) -> None:
         subject = self.node(allow_literal=False)
@@ -236,36 +231,27 @@ class _Parser:
         if tok[0] == "a":
             return RDF_TYPE
         if tok[0] in ("iri", "pname"):
-            return self.term_iri(tok)
+            return self.iri(tok)
         self.fail(tok, "expected a predicate")
 
-    def term_iri(self, tok: tuple) -> Iri:
-        """An IRI or prefixed name in a triple: the sid namespace is refused
-        there (a datatype may name it)."""
-        iri = self.to_iri(tok) if tok[0] == "iri" else self.expand(tok)
-        if iri.text.startswith(SID_IRI_PREFIX):
+    def iri(self, tok: tuple, *, term: bool = True) -> Iri:
+        """The IRI of an ``iri`` or ``pname`` token, read once per distinct
+        token; a ``term`` in a triple may not name the sid namespace (a
+        datatype may)."""
+        iri = self.iris.get(key := tok[:2])
+        if iri is None:
+            text = tok[1]
+            if tok[0] == "pname":
+                prefix, local = text.split(":", 1)
+                if prefix not in self.prefixes:
+                    self.fail(tok, f"undeclared prefix {prefix!r}:")
+                text = self.prefixes[prefix] + local
+            try:
+                iri = self.iris[key] = Iri(text)
+            except ValueError as e:
+                self.fail(tok, str(e))
+        if term and iri.text.startswith(SID_IRI_PREFIX):
             self.fail(tok, SID_RESERVED)
-        return iri
-
-    def to_iri(self, tok: tuple) -> Iri:
-        iri = self.iris.get(tok[1])
-        if iri is None:
-            try:
-                iri = self.iris[tok[1]] = Iri(tok[1])
-            except ValueError as e:
-                self.fail(tok, str(e))
-        return iri
-
-    def expand(self, tok: tuple) -> Iri:
-        iri = self.pnames.get(tok[1])
-        if iri is None:
-            prefix, local = tok[1].split(":", 1)
-            if prefix not in self.prefixes:
-                self.fail(tok, f"undeclared prefix {prefix!r}:")
-            try:
-                iri = self.pnames[tok[1]] = Iri(self.prefixes[prefix] + local)
-            except ValueError as e:
-                self.fail(tok, str(e))
         return iri
 
     def literal_suffix(self, lexical: str, tok: tuple) -> Literal:
@@ -275,12 +261,9 @@ class _Parser:
             if self.tok[0] == "^^":
                 self.next()
                 dt_tok = self.next()
-                if dt_tok[0] == "iri":
-                    dt = self.to_iri(dt_tok)
-                elif dt_tok[0] == "pname":
-                    dt = self.expand(dt_tok)
-                else:
+                if dt_tok[0] not in ("iri", "pname"):
                     self.fail(dt_tok, "expected a datatype IRI")
+                dt = self.iri(dt_tok, term=False)
                 return Literal(lexical, BUILT_IN.get(dt.text, dt))
             return Literal(lexical, XSD_STRING)
         except ValueError as e:
@@ -290,7 +273,7 @@ class _Parser:
         tok = self.next()
         kind = tok[0]
         if kind in ("iri", "pname"):
-            return self.term_iri(tok)
+            return self.iri(tok)
         if kind == "blank":
             return self.reader.terms.setdefault(tok[1], tok[1])
         if kind == "<<":

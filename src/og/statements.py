@@ -14,8 +14,6 @@ Term = Union[Iri, LocalId, BlankNode, SidRef, Literal]
 #: Graph names are IRIs or local identifiers.
 GraphId = Union[Iri, LocalId]
 
-_RANK = {Iri: 0, LocalId: 1, BlankNode: 2, SidRef: 3, Literal: 4}
-
 
 def term_key(t: Term) -> tuple:
     """Sort key realizing the total order over terms.

@@ -95,6 +95,8 @@ class TestParse:
             ("@prefix ex:a <urn:x:> .\n", "bare 'label:'"),
             ("@prefix ex: <rel/> .\nex:s <urn:x:p> 1 .\n", "absolute"),
             ('<urn:x:s> <urn:x:p> "v"^^"t" .\n', "expected a datatype IRI"),
+            ("<urn:x:s> <urn:x:p> <urn:x:o> @prefix ex: <urn:x:> .\n", "found 'prefix' (line 1, column 31)"),
+            ("<urn:x:s> <urn:x:p> <urn:x:o> PREFIX ex: <urn:x:>\n", "found 'prefix' (line 1, column 31)"),
         ],
     )
     def test_rejections_carry_position(self, doc, needle):

@@ -187,6 +187,12 @@ class TestLookup:
         assert len(toy_store.match(StatementPattern(value=LocalId("Bob")))) == 1
         assert len(toy_store.match(StatementPattern())) == 4
 
+    def test_a_label_and_value_match_wants_a_term_of_the_same_type(self):
+        st = seeded()
+        sid = st.insert_ground(LocalId("a"), LocalId("p"), Literal("5"))
+        assert st.match(StatementPattern(label=LocalId("p"), value=5)) == []
+        assert [s.sid for s in st.match(StatementPattern(label=LocalId("p"), value=Literal("5")))] == [sid]
+
     def test_sids_by_content_is_sorted(self, multi_edge_store):
         sids = multi_edge_store.sids_by_content(LocalId("Alice"), LocalId("knows"), LocalId("Bob"))
         assert len(sids) == 2 and sids == sorted(sids)

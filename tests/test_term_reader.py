@@ -342,6 +342,17 @@ def test_a_redeclared_prefix_reads_its_names_anew():
         [(Iri("urn:a:s"), Iri("urn:a:p"), Iri("urn:a:o")), (Iri("urn:b:s"), Iri("urn:b:p"), Iri("urn:b:o"))])
 
 
+def test_an_iri_and_a_prefixed_name_of_one_text_read_apart():
+    # the token path's one memo is keyed by a token's kind and text, and a
+    # redeclared prefix clears it: <ex:a> is the IRI ex:a, ex:a expands
+    doc = ("@prefix ex: <urn:x:> .\n<ex:a> <urn:p> ex:a .\nex:a <urn:p> <ex:a> .\n"
+           "PREFIX ex: <urn:y:>\nex:a <urn:p> <ex:a> .\n")
+    store = parse_turtle_star(doc)
+    assert {(st.src, st.value) for st in store} == {
+        (Iri("ex:a"), Iri("urn:x:a")), (Iri("urn:x:a"), Iri("ex:a")), (Iri("urn:y:a"), Iri("ex:a"))}
+    assert len(store) == 3 and {st.label for st in store} == {Iri("urn:p")}
+
+
 def test_turtle_star_reports_the_first_error_in_reading_order():
     # the tokens are read as the grammar asks for them, so a grammar error
     # on line 1 is found before a bad token on line 2

@@ -110,6 +110,10 @@ class TestOrdering:
         ordered = [Iri("urn:x:1"), LocalId("a"), BlankNode("b"), SidRef(sid), Literal("x")]
         assert sorted(reversed(ordered), key=term_key) == ordered
 
+    def test_a_non_term_has_no_key(self):
+        with pytest.raises(TypeError, match="not a term: 5"):
+            term_key(5)
+
     @given(iris, iris)
     def test_key_equal_iff_terms_equal(self, a, b):
         assert (term_key(a) == term_key(b)) == (a == b)

@@ -9,6 +9,7 @@ from og import (
     IN_GRAPH,
     Literal,
     LocalId,
+    LpgViewConfig,
     NamespaceError,
     NestingOverflowError,
     OgError,
@@ -25,6 +26,7 @@ from og import (
     serialize_ognq,
     serialize_turtle_star,
 )
+from og.views import _display
 
 
 def quoting_chain(depth: int) -> Store:
@@ -59,6 +61,10 @@ class TestNamespace:
         assert isinstance(err.value, OgError) and isinstance(err.value, ValueError)
         with pytest.raises(NamespaceError):
             expose_local_as_iri(LocalId("a"), "no-scheme")
+
+    def test_a_literal_has_no_property_graph_text(self):
+        with pytest.raises(TypeError, match="no property-graph rendering"):
+            _display(Literal("x"), LpgViewConfig())
 
 
 class TestLpgEntryPoints:
