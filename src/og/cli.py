@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -93,19 +94,49 @@ def parse_cli_term(token: str, prefixes: dict[str, str]) -> Term:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; ParseError, naming the file, when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write the text as UTF-8 to ``out`` or standard output; OgError when it
+    has none (a lone surrogate). ``out`` is replaced whole by a temporary file
+    beside it, which takes its name and mode, so a failed write leaves the old bytes."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise OgError(f"cannot write the output as UTF-8: {e}") from None
+    if not out:
         sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(prefix=".og-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(out)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.chmod(tmp, _file_mode(out))
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _file_mode(path: str) -> int:
+    """The mode of the file at ``path``, or the one a new file there would get."""
+    try:
+        return os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _parse_file(path: str, fmt: str, store: Store) -> Store:
+    text = _read_text(path)
     try:
-        return _PARSERS[fmt](_read_text(path), store)
+        return _PARSERS[fmt](text, store)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 
@@ -189,8 +220,9 @@ def cmd_merge(args, namespace: str, prefixes: dict[str, str]) -> int:
     a = _load_ognq(args.a, args.seed)
     b = _load_ognq(args.b, None)
     if args.rules:
+        text = _read_text(args.rules)
         try:
-            rules = load_rules(_read_text(args.rules))
+            rules = load_rules(text)
         except ParseError as e:
             raise ParseError(f"{args.rules}: {e}") from None
     else:

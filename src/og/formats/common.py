@@ -95,15 +95,17 @@ class Cursor:
 
 
 def _scan_uchar(cur: Cursor) -> str:
-    # cur.pos sits on the character after the backslash
+    # cur.pos sits on the character after the backslash; a surrogate is no
+    # character, so each half of an escaped pair is refused on its own
     kind = cur.peek()
     width = 4 if kind == "u" else 8
     start = cur.pos + 1
     hexpart = cur.text[start:start + width]
-    if len(hexpart) != width or not _HEX.fullmatch(hexpart) or int(hexpart, 16) > 0x10FFFF:
+    code = int(hexpart, 16) if len(hexpart) == width and _HEX.fullmatch(hexpart) else -1
+    if not (0 <= code < 0xD800 or 0xDFFF < code <= 0x10FFFF):
         cur.fail(f"bad \\{kind} escape")
     cur.pos = start + width
-    return chr(int(hexpart, 16))
+    return chr(code)
 
 
 _IRI_RUN = re.compile(r'[^\x00-\x20"{}|^`\\>]*')

@@ -17,6 +17,7 @@ statement behind, so it gets the default label statement instead.
 from __future__ import annotations
 
 import json
+import re
 
 from ..datatypes import Literal, coerce_lpg_value
 from ..errors import ParseError, UnknownEndpointError, UnsupportedValueError
@@ -35,6 +36,22 @@ def _no_constants(token: str):
 
 
 _SCALARS = (str, int, float, bool)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(doc) -> bool:
+    """Whether a key or string of a decoded line holds a surrogate: a lone
+    ``\\ud800`` escape decodes to one, a valid pair to one character."""
+    todo = [doc]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo += [*x, *x.values()]
+        elif isinstance(x, list):
+            todo += x
+        elif isinstance(x, str) and _SURROGATE.search(x):
+            return True
+    return False
 
 
 class _Terms:
@@ -126,6 +143,8 @@ def parse_lpg_jsonl(text: str, store: Store | None = None) -> Store:
             doc = decode(line)
         except (ValueError, RecursionError) as e:
             raise ParseError(str(e), line=lineno)
+        if "\\u" in line and _holds_surrogate(doc):
+            raise ParseError("a string holds a lone surrogate", line=lineno)
         if not isinstance(doc, dict):
             raise ParseError("each line must be a JSON object", line=lineno)
         if doc.get("type") not in ("vertex", "edge"):

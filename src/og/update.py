@@ -26,7 +26,7 @@ from .errors import (
     UnknownEndpointError,
     UnsupportedValueError,
 )
-from .statements import Statement, StatementPattern, Term, is_ground, term_key
+from .statements import Statement, StatementPattern, Term, term_key
 from .store import DeletePolicy, Store
 from .terms import BlankNode, Iri, LocalId, Sid, SidRef, parse_sid_text, sid_key
 from .views import (
@@ -35,6 +35,7 @@ from .views import (
     _display,
     _expose,
     _lpg_reading,
+    _reading,
     expose_local_as_iri,
     local_from_iri,
 )
@@ -68,11 +69,9 @@ def _ground_matches(store: Store, s: Term, p: Term, o: Term, namespace: str) -> 
 
 
 def _matches(store: Store, spelled: list[list[Term]]) -> list[Statement]:
-    sids = set()
-    for content in product(*spelled):
-        sids.update(store.sids_by_content(*content))
+    sids = {sid for content in product(*spelled) for sid in store.sids_by_content(*content)}
     found = (store.get(sid) for sid in sorted(sids, key=sid_key))
-    return [st for st in found if is_ground(st) and not store.hidden(st.sid)]
+    return [st for st in found if _reading(store, st) == "ground"]
 
 
 def _refuse_ambiguity(matches: list[Statement], policy: AmbiguityPolicy) -> None:
@@ -273,7 +272,7 @@ def lpg_set_property(
             except ValueError:
                 raise NotFoundError(f"no vertex or edge with id {element!r}") from None
         edge = store.get(element)
-        if edge is None or _lpg_reading(edge, cfg) != "edge":
+        if edge is None or _lpg_reading(store, edge, cfg) != "edge":
             raise NotFoundError(f"no edge with sid {element}")
         srcs = [SidRef(element)]
     sites = (st for t in srcs for st in store.match(StatementPattern(src=t)))
@@ -281,7 +280,7 @@ def lpg_set_property(
         st
         for st in sorted(sites, key=lambda st: sid_key(st.sid))
         if isinstance(st.value, Literal)
-        and _lpg_reading(st, cfg) in ("property", "assertion")
+        and _lpg_reading(store, st, cfg) in ("property", "assertion")
         and _display(st.label, cfg) == key
     ]
     label = old[0].label if old else _name(key, "property key")

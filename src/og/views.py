@@ -110,6 +110,16 @@ def _analyze(store: Store) -> tuple[set[Sid], dict[Sid, int]]:
     return {s for s in depth if not store.hidden(s)}, depth
 
 
+def _reading(store: Store, st: Statement) -> str:
+    """How the views read a statement: ``"ground"`` or ``"assertion"`` when
+    they show it, else ``"membership"`` (graph data, which only
+    :func:`dataset_view` reads) or ``"hidden"`` (an assertion whose
+    references reach a membership). Every membership is hidden."""
+    if store.hidden(st.sid):
+        return "membership" if _is_membership(st.label) else "hidden"
+    return "ground" if is_ground(st) else "assertion"
+
+
 # --- plain RDF -----------------------------------------------------------
 
 
@@ -166,13 +176,12 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
         return iri
 
     for st in store:
-        if store.hidden(st.sid):
-            continue
+        reading = _reading(store, st)
         s, p, o = st.src, st.label, st.value
-        if is_ground(st):
+        if reading == "ground":
             triples.add((expose(s) if type(s) is LocalId else s, expose(p) if type(p) is LocalId else p,
                          expose(o) if type(o) is LocalId else o))
-        elif mode is RdfMode.REIFY:
+        elif reading == "assertion" and mode is RdfMode.REIFY:
             triples.add((part(s), expose(p) if type(p) is LocalId else p, part(o)))
     return RdfGraph(frozenset(triples))
 
@@ -350,15 +359,13 @@ def _display(term: Term, cfg: LpgViewConfig) -> str:
     raise TypeError(f"no property-graph rendering for {term!r}")
 
 
-def _lpg_reading(st: Statement, cfg: LpgViewConfig) -> str | None:
-    """How the property-graph view reads a statement: ``"label"``,
-    ``"property"`` or ``"edge"`` for a ground statement, ``"assertion"`` for
-    one that references statements, and None for graph membership, which
-    it drops."""
-    if _is_membership(st.label):
-        return None
-    if not is_ground(st):
-        return "assertion"
+def _lpg_reading(store: Store, st: Statement, cfg: LpgViewConfig) -> str:
+    """How the property-graph view reads a statement: :func:`_reading`'s
+    answer, with ``"ground"`` split into ``"label"``, ``"property"`` or
+    ``"edge"``. The view drops a ``"membership"`` or ``"hidden"`` one."""
+    reading = _reading(store, st)
+    if reading != "ground":
+        return reading
     if isinstance(st.value, Literal):
         text = st.value.datatype in (XSD_STRING, RDF_LANG_STRING)
         return "label" if text and st.label in cfg.label_predicates else "property"
@@ -387,8 +394,8 @@ def lpg_view(store: Store, config: LpgViewConfig | None = None) -> LpgGraph:
 
     assertions: list[Statement] = []
     for st in store.statements():
-        reading = _lpg_reading(st, cfg)
-        if reading is None:
+        reading = _lpg_reading(store, st, cfg)
+        if reading in ("membership", "hidden"):
             g.dropped += 1
             continue
         if reading == "assertion":
@@ -461,31 +468,25 @@ def dataset_view(store: Store, namespace: str = DEFAULT_LOCAL_NS) -> Dataset:
     """Split the HIDE-mode triples into named graphs by membership.
 
     A ground statement's triple lands in every graph it has a membership
-    assertion for, and in the default graph when it has none. Membership
-    statements themselves appear in no graph; memberships of memberships are
-    ignored outright.
+    assertion for, and in the default graph when it has none. One walk reads
+    both, as each membership follows its statement in reference order.
+    Memberships appear in no graph, and memberships of memberships place nothing.
     """
-    memberships: dict[int, set[Term]] = {}  # by sid integer
-    for st in store:
-        if _is_membership(st.label) and isinstance(st.src, SidRef) and isinstance(st.value, (Iri, LocalId)):
-            memberships.setdefault(st.src.sid.int, set()).add(st.value)
-
-    default: set[tuple] = set()
+    kept: dict[int, tuple] = {}  # each shown ground statement's triple, by sid integer
+    placed: set[int] = set()
     named: dict[Term, set[tuple]] = {}
     expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
     for st in store:
-        if not is_ground(st) or store.hidden(st.sid):
-            continue
+        reading = _reading(store, st)
         s, p, o = st.src, st.label, st.value
-        triple = (expose(s) if type(s) is LocalId else s, expose(p) if type(p) is LocalId else p,
-                  expose(o) if type(o) is LocalId else o)
-        graphs = memberships.get(st.sid.int)
-        if graphs:
-            for gname in graphs:
-                named.setdefault(expose(gname) if type(gname) is LocalId else gname, set()).add(triple)
-        else:
-            default.add(triple)
+        if reading == "ground":
+            kept[st.sid.int] = (expose(s) if type(s) is LocalId else s, expose(p) if type(p) is LocalId else p,
+                                expose(o) if type(o) is LocalId else o)
+        elif (reading == "membership" and isinstance(s, SidRef) and s.sid.int in kept
+              and isinstance(o, (Iri, LocalId))):
+            named.setdefault(expose(o) if type(o) is LocalId else o, set()).add(kept[s.sid.int])
+            placed.add(s.sid.int)
     return Dataset(
-        default=RdfGraph(frozenset(default)),
+        default=RdfGraph(frozenset(t for sid, t in kept.items() if sid not in placed)),
         named={k: RdfGraph(frozenset(v)) for k, v in sorted(named.items(), key=lambda kv: term_key(kv[0]))},
     )

@@ -182,3 +182,52 @@ def spelled_stores(draw, namespace: str, max_statements: int = 16):
             if sid in store:
                 store.delete_statement(sid, DeletePolicy.CASCADE)
     return store
+
+
+# --- escaped surrogates ------------------------------------------------------
+# Every strategy above draws no surrogate. These draw code points of the
+# surrogate block, always as escape text (``\uD800``) and never as characters,
+# beside escapes of scalar values, which every parser must keep accepting.
+
+_HIGH, _LOW = st.integers(0xD800, 0xDBFF), st.integers(0xDC00, 0xDFFF)
+#: a lone surrogate, a pair, or a reversed pair
+surrogate_runs = st.one_of(st.tuples(st.integers(0xD800, 0xDFFF)), st.tuples(_HIGH, _LOW), st.tuples(_LOW, _HIGH))
+
+
+def _escape(code: int, wide: bool, upper: bool) -> str:
+    text = f"\\U{code:08X}" if wide else f"\\u{code:04X}"
+    return text if upper else text[:2] + text[2:].lower()
+
+
+@st.composite
+def escaped_texts(draw, json: bool = False) -> str:
+    """The source text of a string or IRI body: letters, escapes of scalar
+    values and escaped surrogate runs. ``\\U`` escapes only outside JSON,
+    which spells a character beyond the basic plane as a ``\\u`` pair."""
+    wide = st.just(False) if json else st.booleans()
+    scalars = ["\\u00E9", "\\uFFFD", "\\ud83d\\ude00" if json else "\\U0001F600"]
+    chunks = st.one_of(
+        st.text("abXY09", min_size=1, max_size=3),
+        st.sampled_from(scalars),
+        st.builds(lambda codes, w, u: "".join(_escape(c, w, u) for c in codes), surrogate_runs, wide, st.booleans()),
+    )
+    return "".join(draw(st.lists(chunks, min_size=1, max_size=4)))
+
+
+_SID = "<urn:og:sid:00000000-0000-0000-0000-00000000000{}>"
+
+
+@st.composite
+def surrogate_documents(draw, fmt: str) -> str:
+    """A one- or two-statement document of the format ("ntriples", "ognq",
+    "ttls" or "lpgjsonl") whose IRIs, strings, ids and keys carry
+    :func:`escaped_texts`."""
+    a, b, c = (draw(escaped_texts(json=fmt == "lpgjsonl")) for _ in range(3))
+    if fmt == "lpgjsonl":
+        return f'{{"type": "vertex", "id": "{a}", "labels": ["{b}"], "properties": {{"{b}": "{c}"}}}}\n'
+    if fmt == "ognq":
+        one, two = _SID.format(1), _SID.format(2)
+        return f'local:"{a}" <urn:x:{b}> "{c}" {one} .\n{one} local:"k" "{a}" {two} .\n'
+    if fmt == "ttls" and draw(st.booleans()):
+        return f'@prefix ex: <urn:x:{a}> .\n<< ex:s ex:p "{b}" >> <urn:x:{c}> "{a}" .\n'
+    return f'<urn:x:{a}> <urn:x:p> "{b}" .\n<urn:x:s> <urn:x:{c}> <urn:x:{a}> .\n'

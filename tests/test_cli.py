@@ -1,5 +1,6 @@
 """Batch CLI: drives og.cli.main in-process, plus one subprocess smoke test."""
 
+import os
 import subprocess
 import sys
 
@@ -502,15 +503,20 @@ class TestErrors:
 
 
 class TestRefusals:
-    """Each refused command exits 1 with an ``error:`` line and writes no output file."""
+    """Each refused command exits 1 with an ``error:`` line and writes no
+    output file, or leaves the one it names with its old bytes."""
 
     @staticmethod
-    def refused(argv, tmp_path, capsys, needle):
+    def refused(argv, tmp_path, capsys, needle, old=None):
         out_path = tmp_path / "out.ognq"
+        if old is not None:
+            out_path.write_bytes(old)
+        files = sorted(tmp_path.iterdir())
         assert main(argv + ["-o", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
-        assert not out_path.exists()
+        assert (out_path.read_bytes() if out_path.exists() else None) == old
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_one_format_serves_every_input(self, tmp_path, capsys):
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
@@ -544,6 +550,69 @@ class TestRefusals:
         pfx.write_text(table, encoding="utf-8")
         argv = ["view", toy_file, "--as", "lpg", "--prefixes", str(pfx)]
         self.refused(argv, tmp_path, capsys, "prefix tables map labels to IRI strings")
+
+    SURROGATES = {
+        "sur.nt": ('<urn:a> <urn:b> "x\\uD800y" .\n', "bad \\u escape (line 1, column 20)"),
+        "sur.ttls": ('<urn:a> <urn:b> "\\uD83D\\uDE00" .\n', "bad \\u escape (line 1, column 19)"),
+        "sur.ognq": ('local:"a" local:"b" "\\U0000DFFF" <urn:og:sid:00000000-0000-0000-0000-000000000001> .\n',
+                     "bad \\U escape (line 1, column 23)"),
+        "sur.jsonl": ('{"type":"vertex","id":"v","properties":{"k":"\\ud800"}}\n',
+                      "a string holds a lone surrogate (line 1)"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SURROGATES))
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_an_escaped_surrogate(self, tmp_path, capsys, name, old):
+        text, needle = self.SURROGATES[name]
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        self.refused(["load", str(path)], tmp_path, capsys, f"{path}: {needle}", old)
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_an_input_that_is_not_utf8(self, tmp_path, capsys, old):
+        path = tmp_path / "bad.nt"
+        path.write_bytes(b"\xff")
+        self.refused(["load", str(path)], tmp_path, capsys, f"{path}: 'utf-8' codec can't decode", old)
+
+    def test_a_rules_file_that_is_not_utf8(self, toy_file, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_bytes(b"{\xff}")
+        argv = ["merge", toy_file, toy_file, "--rules", str(rules)]
+        self.refused(argv, tmp_path, capsys, f"{rules}: 'utf-8' codec can't decode", b"old bytes\n")
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_an_output_with_no_utf8_form(self, toy_file, tmp_path, capsys, old):
+        pfx = tmp_path / "p.json"
+        pfx.write_text('{"ex": "urn:x\\ud800"}', encoding="utf-8")
+        argv = ["mutate", toy_file, "--insert-triple", "<urn:a>", "<urn:p>", "ex:c", "--prefixes", str(pfx)]
+        self.refused(argv, tmp_path, capsys, "cannot write the output as UTF-8", old)
+
+    def test_a_failed_replace_keeps_the_old_bytes(self, toy_file, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self.refused(["load", toy_file], tmp_path, capsys, "replace refused", b"old bytes\n")
+
+
+class TestOutputFile:
+    def test_a_replaced_file_keeps_its_mode(self, toy_file, tmp_path):
+        out = tmp_path / "out.ognq"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["load", toy_file, "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == TOY_DOC
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_a_new_file_gets_the_mode_the_umask_gives(self, toy_file, tmp_path):
+        out = tmp_path / "new.ognq"
+        umask = os.umask(0o027)
+        try:
+            assert main(["load", toy_file, "-o", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.ognq", "toy.ognq"]
 
 
 class TestSubprocess:

@@ -104,6 +104,10 @@ class TestParse:
             ('\ufeff{"type": "vertex", "id": "a"}', ParseError, "BOM"),
             ('{"type": "edge", "id": "e", "label": "k", "from": "a"}', ParseError, 'edges need a "to"'),
             ('{"type": "edge", "id": 1, "label": "k", "from": "a", "to": "b"}', ParseError, "edge id must be a string"),
+            ('{"type": "vertex", "id": "v", "properties": {"k": "\\ud800"}}', ParseError, "lone surrogate"),
+            ('{"type": "vertex", "id": "v\\udfff"}', ParseError, "lone surrogate"),
+            ('{"type": "vertex", "id": "v", "properties": {"\\ude00\\ud83d": 1}}', ParseError, "lone surrogate"),
+            ('{"type": "vertex", "id": "v", "labels": [["\\uDBFF"]]}', ParseError, "lone surrogate"),
         ],
     )
     def test_malformed_lines(self, line, error, needle):
@@ -111,6 +115,11 @@ class TestParse:
             parse_lpg_jsonl(line + "\n")
         assert needle in str(e.value)
         assert "line 1" in str(e.value)
+
+    def test_a_json_surrogate_pair_is_one_character(self):
+        store = parse_lpg_jsonl('{"type": "vertex", "id": "v", "properties": {"k": "\\ud83d\\ude00"}}\n')
+        (st,) = store.statements()
+        assert st.value == Literal("\U0001F600")
 
     def test_duplicate_ids_report_their_line(self):
         with pytest.raises(ParseError) as e:

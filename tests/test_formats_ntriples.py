@@ -59,6 +59,24 @@ class TestParse:
         assert e.value.line == line
         assert e.value.column is not None
 
+    @pytest.mark.parametrize(
+        "doc,message,column",
+        [
+            ('<urn:a> <urn:b> "x\\uD800y" .\n', "bad \\u escape", 20),
+            ('<urn:a> <urn:b> "\\uD83D\\uDE00" .\n', "bad \\u escape", 19),
+            ("<urn:a\\uDFFF> <urn:b> <urn:c> .\n", "bad \\u escape", 8),
+            ('<urn:a> <urn:b> "\\U0000DC00" .\n', "bad \\U escape", 19),
+        ],
+    )
+    def test_an_escaped_surrogate_is_refused_at_its_escape(self, doc, message, column):
+        with pytest.raises(ParseError) as e:
+            parse_ntriples(doc)
+        assert (str(e.value).split(" (line")[0], e.value.line, e.value.column) == (message, 1, column)
+
+    def test_a_character_beyond_the_basic_plane_is_written_with_one_escape(self):
+        (st,) = parse_ntriples('<urn:a> <urn:b> "\\U0001F600" .\n').statements()
+        assert st.value == Literal("\U0001F600")
+
 
 class TestSerialize:
     def test_toy_view_golden(self, toy_store):

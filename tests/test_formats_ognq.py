@@ -96,6 +96,16 @@ class TestParse:
             parse_ognq('"lit" local:"p" "x" <urn:og:sid:00000000-0000-0000-0000-000000000002> .\n')
         assert e.value.line == 1
 
+    @pytest.mark.parametrize(
+        "term,column",
+        [('"x\\uD800y"', 24), ('local:"\\uDBFF\\uDFFF"', 29), ("<urn:x:\\uDC00>", 29)],
+    )
+    def test_an_escaped_surrogate_is_refused_at_its_escape(self, term, column):
+        sid = "<urn:og:sid:00000000-0000-0000-0000-000000000001>"
+        with pytest.raises(ParseError, match=r"bad \\u escape") as e:
+            parse_ognq(f'local:"a" local:"p" {term} {sid} .\n')
+        assert (e.value.line, e.value.column) == (1, column)
+
     def test_junk_reports_position(self):
         with pytest.raises(ParseError) as e:
             parse_ognq(TOY_DOC + "JUNK\n")

@@ -97,6 +97,9 @@ class TestParse:
             ('<urn:x:s> <urn:x:p> "v"^^"t" .\n', "expected a datatype IRI"),
             ("<urn:x:s> <urn:x:p> <urn:x:o> @prefix ex: <urn:x:> .\n", "found 'prefix' (line 1, column 31)"),
             ("<urn:x:s> <urn:x:p> <urn:x:o> PREFIX ex: <urn:x:>\n", "found 'prefix' (line 1, column 31)"),
+            ('<urn:a> <urn:b> "x\\uD800y" .\n', "bad \\u escape (line 1, column 20)"),
+            ('<< <urn:a> <urn:b> "\\uDE00\\uD83D" >> <urn:p> 1 .\n', "bad \\u escape (line 1, column 22)"),
+            ("@prefix ex: <urn:x\\U0000D800> .\n", "bad \\U escape (line 1, column 20)"),
         ],
     )
     def test_rejections_carry_position(self, doc, needle):

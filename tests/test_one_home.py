@@ -3,8 +3,10 @@
 Percent-encoding is the rule between a local identifier and its IRI, so
 ``quote`` and ``unquote`` are called only by ``views.expose_local_as_iri``
 and its exact inverse ``views.local_from_iri``. Sid text is read only by
-``terms.py``, so ``uuid.UUID`` appears nowhere else. The sources are read
-with ``ast``, never run.
+``terms.py``, so ``uuid.UUID`` appears nowhere else. How the views read a
+statement is ``views._reading``'s answer, so in the views and updates no
+other function combines ``store.hidden``, ``is_ground`` and
+``_is_membership``. The sources are read with ``ast``, never run.
 """
 
 import ast
@@ -14,21 +16,32 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "og"
 SOURCES = sorted(SRC.rglob("*.py"))
 PERCENT_HOMES = {("views.py", "expose_local_as_iri"), ("views.py", "local_from_iri")}
 
+READING_TESTS = ("hidden", "is_ground", "_is_membership")
+#: ``_reading``; the views that need only visibility or depth; and REIFY's
+#: check that a referenced statement is ground, in ``rdf_view``'s ``part``
+READING_HOMES = {
+    ("views.py", "_reading"),
+    ("views.py", "_analyze"),
+    ("views.py", "rdf_star_view"),
+    ("views.py", "rdf_view.part"),
+}
+
 
 def uses(path: Path):
-    """(file, enclosing top-level function or None, name) for each call of
-    ``quote``/``unquote`` and each ``uuid.UUID`` or imported ``UUID``."""
+    """(file, dotted enclosing function or None, name) for each call of
+    ``quote``/``unquote`` or of a reading test, and each ``uuid.UUID`` or
+    imported ``UUID``."""
     name = str(path.relative_to(SRC))
     tree = ast.parse(path.read_text(), str(path))
     scopes = [(node, None) for node in tree.body]
     while scopes:
         node, scope = scopes.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope is None:
-            scope = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
         if isinstance(node, ast.Call):
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called in ("quote", "unquote"):
+            if called in ("quote", "unquote", *READING_TESTS):
                 yield name, scope, called
         if isinstance(node, ast.Attribute) and node.attr == "UUID":
             yield name, scope, "UUID"
@@ -38,15 +51,17 @@ def uses(path: Path):
 
 
 FOUND = [use for path in SOURCES for use in uses(path)]
+#: the reading tests called in the views and updates
+READINGS = [use for use in FOUND if use[2] in READING_TESTS and use[0] in ("views.py", "update.py")]
 
 
 def test_percent_encoding_lives_in_exposure_and_its_inverse():
-    strays = sorted({(f, scope) for f, scope, what in FOUND if what != "UUID"} - PERCENT_HOMES)
+    strays = sorted({(f, scope) for f, scope, what in FOUND if what in ("quote", "unquote")} - PERCENT_HOMES)
     assert not strays, f"quote/unquote called outside exposure and its inverse: {strays}"
 
 
 def test_the_check_sees_both_homes():
-    assert {(f, scope) for f, scope, what in FOUND if what != "UUID"} == PERCENT_HOMES
+    assert {(f, scope) for f, scope, what in FOUND if what in ("quote", "unquote")} == PERCENT_HOMES
 
 
 def test_sid_text_is_read_only_in_terms():
@@ -63,3 +78,14 @@ def test_only_views_imports_urllib():
             if any((m or "").split(".")[0] == "urllib" for m in modules):
                 importers.add(str(path.relative_to(SRC)))
     assert importers == {"views.py"}
+
+
+def test_only_the_reading_and_its_named_exceptions_test_visibility():
+    found = {(f, scope) for f, scope, what in READINGS}
+    strays = sorted(found - READING_HOMES)
+    assert not strays, f"a reading test outside views._reading: {strays}"
+
+
+def test_the_reading_check_sees_every_home():
+    assert {(f, scope) for f, scope, what in READINGS} == READING_HOMES
+    assert {what for f, scope, what in READINGS if scope == "_reading"} == set(READING_TESTS)

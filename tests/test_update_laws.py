@@ -74,12 +74,12 @@ def test_a_delete_removes_exactly_the_triple_and_its_elements(data, namespace):
     targets = oracles.ground_matches(statements, s, p, o, namespace)
     doomed = set().union(*(oracles.cascade_closure(statements, t.sid) for t in targets))
     before = lpg_view(store, cfg)
+    readings = [_lpg_reading(store, t, cfg) for t in targets]
 
     assert rdf_delete_triple(store, s, p, o, namespace=namespace) == len(doomed)
     exposed = tuple(oracles.exposed(t, namespace) for t in (s, p, o))
     assert rdf_view(store, namespace=namespace).triples == hide - {exposed}
     after = lpg_view(store, cfg)
-    readings = [_lpg_reading(t, cfg) for t in targets]
     assert before.edges.keys() - after.edges.keys() == {t.sid for t, r in zip(targets, readings) if r == "edge"}
     assert after.edges == {sid: e for sid, e in before.edges.items() if sid in after.edges}
     assert property_sites(before) - property_sites(after) == readings.count("property")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from og import (
     IN_GRAPH,
+    BlankNode,
     Iri,
     Literal,
     LocalId,
@@ -259,6 +260,14 @@ class TestDataset:
         toy_store.set_graph_membership(m, Iri("urn:g:meta"))
         ds = dataset_view(toy_store)
         assert Iri("urn:g:meta") not in ds.named
+
+    @pytest.mark.parametrize("graph", [Literal("urn:g:one"), BlankNode("g")])
+    def test_a_graph_named_by_no_iri_or_local_id_places_nothing(self, toy_store, graph):
+        knows = toy_store.statements()[0].sid
+        toy_store.insert_assertion(SidRef(knows), IN_GRAPH, graph)
+        ds = dataset_view(toy_store)
+        assert ds.named == {}
+        assert ds.default.triples == rdf_view(toy_store).triples
 
     def test_no_graph_contains_a_membership_triple(self, toy_store):
         knows = toy_store.statements()[0].sid
