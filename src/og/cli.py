@@ -104,7 +104,9 @@ def _read_text(path: str) -> str:
 def _write_out(text: str, out: str | None) -> None:
     """Write the text as UTF-8 to ``out`` or standard output; OgError when it
     has none (a lone surrogate). ``out`` is replaced whole by a temporary file
-    beside it, which takes its name and mode, so a failed write leaves the old bytes."""
+    beside it, which takes its name and mode, so a failed write leaves the old bytes.
+    A symlink keeps its place and its target is replaced; a pipe or device,
+    such as ``/dev/null``, holds no bytes to keep and is written in place."""
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as e:
@@ -112,7 +114,12 @@ def _write_out(text: str, out: str | None) -> None:
     if not out:
         sys.stdout.write(text)
         return
-    fd, tmp = tempfile.mkstemp(prefix=".og-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(out)))
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "wb") as f:
+            f.write(data)
+        return
+    out = os.path.realpath(out)
+    fd, tmp = tempfile.mkstemp(prefix=".og-", suffix=".tmp", dir=os.path.dirname(out))
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -614,6 +614,26 @@ class TestOutputFile:
         assert out.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["new.ognq", "toy.ognq"]
 
+    def test_a_symlink_keeps_its_place_and_its_target_is_replaced(self, toy_file, tmp_path):
+        real, link = tmp_path / "real.ognq", tmp_path / "link.ognq"
+        real.write_text("old\n")
+        link.symlink_to(real.name)
+        assert main(["load", toy_file, "-o", str(link)]) == 0
+        assert link.is_symlink() and real.read_text(encoding="utf-8") == TOY_DOC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ognq", "real.ognq", "toy.ognq"]
+
+    def test_a_pipe_is_written_in_place(self, toy_file, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open without blocking
+        try:
+            assert main(["load", toy_file, "-o", str(fifo)]) == 0
+            assert os.read(reader, 1 << 16).decode("utf-8") == TOY_DOC
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "toy.ognq"]
+
 
 class TestSubprocess:
     def test_console_script_runs(self, toy_file):
