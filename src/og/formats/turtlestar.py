@@ -362,23 +362,28 @@ def _is_rdf_type(p) -> bool:
 def _render_node(t, prefixes: dict[str, str], memo: dict) -> str:
     """Text of one node, rendered once per distinct object and ``memo``,
     which is keyed by ``id`` and so holds only while the graph lives; a
-    quoted triple's from its parts' text, any node but an IRI or a literal
-    by :func:`render_term`, which raises ValueError for what has no token."""
+    quoted triple's from its parts' text, after the parts not yet rendered,
+    which wait on a stack; any node but an IRI or a literal by
+    :func:`render_term`, which raises ValueError for what has no token."""
     text = memo.get(id(t))
     if text is not None:
         return text
-    if isinstance(t, QuotedTriple):
-        s = _render_node(t.s, prefixes, memo)
-        p = "a" if _is_rdf_type(t.p) else _render_node(t.p, prefixes, memo)
-        o = _render_node(t.o, prefixes, memo)
-        text = f"<< {s} {p} {o} >>"
-    elif isinstance(t, Iri):
-        text = _render_iri(t, prefixes)
-    elif isinstance(t, Literal):
-        text = _render_literal(t, prefixes)
-    else:
-        text = render_term(t)
-    memo[id(t)] = text
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is QuotedTriple:
+            if todo := [y for y in (x.s, x.p, x.o) if id(y) not in memo]:
+                stack += (x, *todo)
+                continue
+            p = "a" if _is_rdf_type(x.p) else memo[id(x.p)]
+            text = f"<< {memo[id(x.s)]} {p} {memo[id(x.o)]} >>"
+        elif isinstance(x, Iri):
+            text = _render_iri(x, prefixes)
+        elif isinstance(x, Literal):
+            text = _render_literal(x, prefixes)
+        else:
+            text = render_term(x)
+        memo[id(x)] = text
     return text
 
 

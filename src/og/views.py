@@ -17,7 +17,6 @@ rule and the quoting depth at install (:meth:`Store.hidden`,
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterator
@@ -141,7 +140,7 @@ class RdfGraph:
         return iter(self.sorted())
 
     def sorted(self) -> list[tuple]:
-        return sorted(self.triples, key=_triple_keys())
+        return sorted(self.triples, key=triple_key)
 
 
 def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAULT_LOCAL_NS) -> RdfGraph:
@@ -193,16 +192,21 @@ def rdf_view(store: Store, mode: RdfMode = RdfMode.HIDE, namespace: str = DEFAUL
 class QuotedTriple:
     """A triple used as a term, RDF-star style.
 
-    The hash is taken once, at construction, so hashing a nest costs one
-    level however deep it is.
+    Its flat sort key (:func:`triple_key`) and its hash are taken once, at
+    construction, from its parts' own, so neither hashing, comparing nor
+    sorting a nest goes below its first level, however deep it is. Two
+    quoted triples are equal when their keys are. ``repr`` and pickling
+    still recurse once per level.
     """
 
-    s: Any
-    p: Any
-    o: Any
+    s: Any = field(compare=False)
+    p: Any = field(compare=False)
+    o: Any = field(compare=False)
+    _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_key", (5, *_part_key(self.s), *_part_key(self.p), *_part_key(self.o)))
         object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
 
     def __hash__(self) -> int:
@@ -218,21 +222,9 @@ class RdfStarGraph(RdfGraph):
     """A set of asserted triples whose subjects/objects may quote triples."""
 
 
-def _part_key(t, memo: dict[int, tuple]) -> tuple:
-    """Flat key of one part; a quoted triple's is built once per ``memo``,
-    which is keyed by ``id`` and so holds only while the triples live."""
-    if not isinstance(t, QuotedTriple):
-        return term_key(t)
-    key = memo.get(id(t))
-    if key is None:
-        key = memo[id(t)] = (5, *_part_key(t.s, memo), *_part_key(t.p, memo), *_part_key(t.o, memo))
-    return key
-
-
-def _triple_keys() -> Callable[[tuple], tuple]:
-    """:func:`triple_key` with one memo for all the triples it keys."""
-    memo: dict[int, tuple] = {}
-    return lambda triple: (*_part_key(triple[0], memo), *_part_key(triple[1], memo), *_part_key(triple[2], memo))
+def _part_key(t) -> tuple:
+    """Flat key of one part: a quoted triple's own, else its term key."""
+    return t._key if type(t) is QuotedTriple else term_key(t)
 
 
 def triple_key(triple: tuple) -> tuple:
@@ -244,7 +236,7 @@ def triple_key(triple: tuple) -> tuple:
     prefix of another, and the order is the one of the nested tuples
     ``(key(s), key(p), key(o))``.
     """
-    return _triple_keys()(triple)
+    return (*_part_key(triple[0]), *_part_key(triple[1]), *_part_key(triple[2]))
 
 
 def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: int = 32) -> RdfStarGraph:
@@ -254,14 +246,9 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     become triples whose sid references are replaced by the quoted triple of
     the referenced statement's content. The dimensional reduction is real:
     multi-edges become one triple and their annotations pool together.
-    Equal quoted triples are one object. Raises NestingOverflowError when
-    quoting nests deeper than ``max_depth`` or than a quarter of
-    ``sys.getrecursionlimit()`` (250 at the default limit), whichever is
-    less: comparing two equal quoted triples, and building the first sort
-    key and the first Turtle-star text of one, take Python frames per level
-    of nesting. Hashing does not; it is cached at construction.
+    Equal quoted triples are one object, built once with its key and hash.
+    Raises NestingOverflowError when quoting nests deeper than ``max_depth``.
     """
-    bound = min(max_depth, sys.getrecursionlimit() // 4)
     rendered: dict[int, tuple] = {}  # by sid integer
     quoted: dict[tuple, QuotedTriple] = {}
     expose = _once_per_call(lambda t: _expose(t, namespace), LocalId)
@@ -277,8 +264,8 @@ def rdf_star_view(store: Store, namespace: str = DEFAULT_LOCAL_NS, max_depth: in
     for st in store:
         if store.hidden(st.sid):
             continue
-        if store.depth(st.sid) > bound:
-            raise NestingOverflowError(f"quoted-triple nesting exceeds {bound} (e.g. statement {st.sid})")
+        if store.depth(st.sid) > max_depth:
+            raise NestingOverflowError(f"quoted-triple nesting exceeds {max_depth} (e.g. statement {st.sid})")
         label = st.label
         rendered[st.sid.int] = (part(st.src), expose(label) if type(label) is LocalId else label, part(st.value))
     return RdfStarGraph(frozenset(rendered.values()))

@@ -148,13 +148,14 @@ def dataset_placement(statements, namespace="urn:og:local:"):
 
     A ground statement's triple lands in every graph it has a first-order
     membership for, and in the default graph when it has none. Memberships
-    of memberships place nothing.
+    of memberships, and memberships whose value is neither an IRI nor a
+    local identifier, place nothing.
     """
     hidden = invisible_sids(statements)
     by_sid = {st.sid: st for st in statements}
     member_of: dict = {}
     for st in statements:
-        if st.label != IN_GRAPH or not isinstance(st.src, SidRef):
+        if st.label != IN_GRAPH or not isinstance(st.src, SidRef) or not isinstance(st.value, (Iri, LocalId)):
             continue
         target = by_sid.get(st.src.sid)
         if target is None or target.label == IN_GRAPH:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from og import Store, parse_ognq, rdf_view, serialize_ognq
+from og import LocalId, SidRef, Store, parse_ognq, rdf_view, serialize_ognq
 from og.cli import main
 
 TOY_DOC = """\
@@ -586,6 +586,25 @@ class TestRefusals:
         pfx.write_text('{"ex": "urn:x\\ud800"}', encoding="utf-8")
         argv = ["mutate", toy_file, "--insert-triple", "<urn:a>", "<urn:p>", "ex:c", "--prefixes", str(pfx)]
         self.refused(argv, tmp_path, capsys, "cannot write the output as UTF-8", old)
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_quoting_deeper_than_the_view_allows(self, tmp_path, capsys, old):
+        store = Store(seed=0)
+        sid = store.insert_ground(LocalId("a"), LocalId("p"), LocalId("b"))
+        for i in range(33):
+            sid = store.insert_assertion(SidRef(sid), LocalId("q"), LocalId(f"v{i}"))
+        path, out = tmp_path / "s.ognq", tmp_path / "out.ttls"
+        path.write_text(serialize_ognq(store), encoding="utf-8")
+        if old is not None:
+            out.write_bytes(old)
+        files = sorted(tmp_path.iterdir())
+        assert main(["view", str(path), "--as", "rdfstar", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith("error: quoted-triple nesting exceeds 32")
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_a_failed_replace_keeps_the_old_bytes(self, toy_file, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):

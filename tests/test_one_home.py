@@ -6,7 +6,9 @@ and its exact inverse ``views.local_from_iri``. Sid text is read only by
 ``terms.py``, so ``uuid.UUID`` appears nowhere else. How the views read a
 statement is ``views._reading``'s answer, so in the views and updates no
 other function combines ``store.hidden``, ``is_ground`` and
-``_is_membership``. The sources are read with ``ast``, never run.
+``_is_membership``. Quoting depth is bounded by ``max_depth`` alone, so no
+function in the views or the Turtle-star module calls itself. The sources
+are read with ``ast``, never run.
 """
 
 import ast
@@ -89,3 +91,38 @@ def test_only_the_reading_and_its_named_exceptions_test_visibility():
 def test_the_reading_check_sees_every_home():
     assert {(f, scope) for f, scope, what in READINGS} == READING_HOMES
     assert {what for f, scope, what in READINGS if scope == "_reading"} == set(READING_TESTS)
+
+
+#: the modules that walk quoted triples, which nest as deep as the data does
+RECURSION_FREE = ("views.py", "formats/turtlestar.py")
+
+
+def self_calls(source: str):
+    """Names of the functions in ``source`` that call themselves: by name,
+    or a method through ``self``."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            func = node.func if isinstance(node, ast.Call) else None
+            if id(fn) in methods:
+                hit = (isinstance(func, ast.Attribute) and func.attr == fn.name
+                       and isinstance(func.value, ast.Name) and func.value.id == "self")
+            else:
+                hit = isinstance(func, ast.Name) and func.id == fn.name
+            if hit:
+                yield fn.name
+                break
+
+
+def test_the_self_call_check_sees_a_function_and_a_method():
+    source = "def f(x):\n    return f(x)\nclass C:\n    def next(self):\n        return next(self.it)\n" \
+             "    def g(self):\n        return self.g()\n"
+    assert list(self_calls(source)) == ["f", "g"]
+
+
+def test_no_function_walking_quoted_triples_calls_itself():
+    strays = sorted((name, fn) for name in RECURSION_FREE for fn in self_calls((SRC / name).read_text()))
+    assert not strays, f"a function that recurses once per level of quoting: {strays}"

@@ -1,14 +1,15 @@
-"""Quoted triples sort, hash and serialize in time linear in the output.
+"""Quoted triples sort, hash, compare and serialize in time linear in the output.
 
-The order is checked against the nested sort key the flat one replaced,
-and the cost of a chain at the nesting bound is counted in calls, not
-timed.
+The order and equality are checked against the nested sort key the flat
+one replaced, and the cost of a chain deeper than the recursion limit is
+counted in calls, not timed.
 """
 
 import pickle
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,19 @@ class TestOrder:
             assert copy == q and copy is not q
             assert hash(copy) == hash(q) == hash((q.s, q.p, q.o))
 
+    @settings(max_examples=80, deadline=None)
+    @given(star_graphs())
+    def test_quoted_triples_are_equal_exactly_when_their_nested_keys_are(self, graph):
+        parts = quoted_parts(graph)
+        keys = [nested_part_key(q) for q in parts]
+        for q1, k1 in zip(parts, keys):
+            for q2, k2 in zip(parts, keys):
+                assert (q1 == q2) == (k1 == k2)
+
+    def test_a_quoted_triple_of_no_terms_is_refused_when_built(self):
+        with pytest.raises(TypeError, match="not a term"):
+            QuotedTriple(1, 2, 3)
+
     def test_the_view_builds_one_object_per_quoted_content(self):
         store = Store(seed=0)
         for _ in range(2):
@@ -126,7 +140,7 @@ class TestOrder:
 
 def test_sorting_and_serializing_a_chain_at_the_bound_is_linear(monkeypatch):
     store = Store(seed=0)
-    quoting_chain(store, sys.getrecursionlimit() // 4)
+    quoting_chain(store, sys.getrecursionlimit() + 50)
     graph = rdf_star_view(store, max_depth=10**6)
     calls = Counter()
 

@@ -21,6 +21,7 @@ from og import (
     lpg_add_edge,
     lpg_set_property,
     lpg_view,
+    parse_turtle_star,
     rdf_star_view,
     rdf_view,
     serialize_ognq,
@@ -39,17 +40,22 @@ def quoting_chain(depth: int) -> Store:
 
 
 class TestNestingBound:
-    def test_deep_chain_raises_nesting_overflow_not_recursion_error(self):
-        with pytest.raises(NestingOverflowError):
-            rdf_star_view(quoting_chain(4000), max_depth=10**6)
+    def test_max_depth_alone_bounds_the_view(self):
+        assert len(rdf_star_view(quoting_chain(300), max_depth=300)) == 301
+        with pytest.raises(NestingOverflowError, match="nesting exceeds 300"):
+            rdf_star_view(quoting_chain(301), max_depth=300)
 
-    def test_chain_at_the_bound_renders_sorts_and_serializes(self):
-        bound = sys.getrecursionlimit() // 4
-        g = rdf_star_view(quoting_chain(bound), max_depth=10**6)
-        assert len(g.sorted()) == bound + 1
-        assert serialize_turtle_star(g).count("\n") == bound + 1
-        with pytest.raises(NestingOverflowError):
-            rdf_star_view(quoting_chain(bound + 1), max_depth=10**6)
+    def test_a_chain_deeper_than_the_recursion_limit_views_sorts_and_serializes(self):
+        depth = sys.getrecursionlimit() + 50
+        store = quoting_chain(depth)
+        g = rdf_star_view(store, max_depth=depth)
+        assert len(g.sorted()) == depth + 1
+        assert serialize_turtle_star(g).count("\n") == depth + 1
+        assert rdf_star_view(store, max_depth=depth) == g
+
+    def test_a_chain_above_the_old_cap_round_trips_through_turtle_star(self):
+        g = rdf_star_view(quoting_chain(300), max_depth=300)
+        assert rdf_star_view(parse_turtle_star(serialize_turtle_star(g)), max_depth=300) == g
 
 
 class TestNamespace:

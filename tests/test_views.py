@@ -268,6 +268,7 @@ class TestDataset:
         ds = dataset_view(toy_store)
         assert ds.named == {}
         assert ds.default.triples == rdf_view(toy_store).triples
+        assert dataset_placement(toy_store.statements()) == (ds.default.triples, {})
 
     def test_no_graph_contains_a_membership_triple(self, toy_store):
         knows = toy_store.statements()[0].sid
